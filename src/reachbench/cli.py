@@ -29,13 +29,7 @@ from .codegen import (
     export_c_source,
 )
 from .estimators import ALL_METHODS, estimate_all
-from .evaluation import (
-    TrialResult,
-    ci_coverage,
-    imprecision,
-    mean_bias,
-    sensitivity_analysis,
-)
+from .evaluation import rq1_report, sensitivity_analysis
 from .fuzzer import (
     CampaignConfig,
     MutationPolicy,
@@ -46,12 +40,7 @@ from .fuzzer import (
 )
 from .grammar import parse_grammar, serialize_grammar
 from .grammargen import GenConfig, generate_grammar, parse_label, serialize_label
-from .incidence import (
-    build_incidence_matrix,
-    from_dense_csv,
-    rebin,
-    to_dense_csv,
-)
+from .incidence import build_incidence_matrix, from_dense_csv, rebin
 
 log = logging.getLogger(__name__)
 
@@ -59,6 +48,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_PARTIAL = 3
+
+ESTIMATE_FIELDS = ["method", "t", "point", "ci_low", "ci_high", "status", "diagnostics"]
+REPORT_FIELDS = ["estimator", "t", "mean_bias", "imprecision", "ci_coverage", "n_failed", "k"]
+RUN_REPORT_FIELDS = ["program", "estimator", "t", "true_s"] + REPORT_FIELDS[2:]
+VERDICT_FIELDS = [
+    "method", "r_a", "r_b", "mean_a", "mean_b",
+    "ci_a_low", "ci_a_high", "ci_b_low", "ci_b_high",
+    "test_used", "p_value", "ci_overlap", "interval_intersect",
+    "reliable", "inconclusive", "n_failed_a", "n_failed_b",
+]
 
 
 def derive_seed(master: int, label: str, index: int = 0) -> int:
@@ -74,6 +73,15 @@ def _write(path, text: str):
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text(text, encoding="utf-8")
+
+
+def _write_csv(path, fields, rows):
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    with p.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _sha256_file(path) -> str:
@@ -231,22 +239,12 @@ def _estimate_rows(matrix, methods, level, seed, boot_b=500):
     return rows
 
 
-def _write_estimate_csv(path, rows):
-    fields = ["method", "t", "point", "ci_low", "ci_high", "status", "diagnostics"]
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def cmd_estimate(args) -> int:
     units = parse_units(_read(args.incidence))
     matrix = build_incidence_matrix(units)
     methods = ALL_METHODS if args.methods == "all" else tuple(args.methods.split(","))
     rows = _estimate_rows(matrix, methods, args.level, args.seed)
-    _write_estimate_csv(args.out, rows)
+    _write_csv(args.out, ESTIMATE_FIELDS, rows)
     return EXIT_OK
 
 
@@ -258,65 +256,12 @@ def _true_richness_from_manifest(path) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    true_s = _true_richness_from_manifest(args.truth)
-    grouped = {}
-    for path in sorted(Path(args.estimates).glob("*.csv")):
-        with path.open() as fh:
-            for row in csv.DictReader(fh):
-                key = (row["method"], int(row["t"]))
-                grouped.setdefault(key, []).append(row)
-    report = []
-    for (method, t), rows in sorted(grouped.items()):
-        results = [
-            TrialResult(
-                trial=i,
-                method=method,
-                t=t,
-                estimate=_row_to_estimate(row),
-                true_s=true_s,
-            )
-            for i, row in enumerate(rows)
-        ]
-        ok = [r for r in results if r.estimate.status != "failed"]
-        cov, n_failed = ci_coverage(results, true_s)
-        entry = {
-            "estimator": method,
-            "t": t,
-            "mean_bias": mean_bias(ok, true_s) if ok else float("nan"),
-            "imprecision": imprecision(ok, true_s) if len(ok) >= 2 else float("nan"),
-            "ci_coverage": cov,
-            "n_failed": n_failed,
-            "k": len(results),
-        }
-        report.append(entry)
-    _emit_report(args.out, report)
+    report = rq1_report(args.estimates, _true_richness_from_manifest(args.truth))
+    if Path(args.out).suffix == ".json":
+        _write(args.out, json.dumps(report, indent=2) + "\n")
+    else:
+        _write_csv(args.out, REPORT_FIELDS, report)
     return EXIT_OK
-
-
-def _row_to_estimate(row):
-    from .estimators import EstimateWithCI
-
-    return EstimateWithCI(
-        method=row["method"],
-        point=float(row["point"]),
-        ci_low=float(row["ci_low"]),
-        ci_high=float(row["ci_high"]),
-        level=0.0,
-        status=row["status"],
-    )
-
-
-def _emit_report(out, report):
-    out = Path(out)
-    if out.suffix == ".json":
-        _write(out, json.dumps(report, indent=2) + "\n")
-        return
-    fields = ["estimator", "t", "mean_bias", "imprecision", "ci_coverage", "n_failed", "k"]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(report)
 
 
 def cmd_sensitivity(args) -> int:
@@ -337,31 +282,20 @@ def cmd_sensitivity(args) -> int:
 
 
 def _write_verdicts(out, verdicts):
-    fields = [
-        "method", "r_a", "r_b", "mean_a", "mean_b",
-        "ci_a_low", "ci_a_high", "ci_b_low", "ci_b_high",
-        "test_used", "p_value", "ci_overlap", "interval_intersect",
-        "reliable", "inconclusive", "n_failed_a", "n_failed_b",
-    ]
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for v in verdicts:
-            writer.writerow(
-                {
-                    "method": v.method, "r_a": v.r_a, "r_b": v.r_b,
-                    "mean_a": v.mean_a, "mean_b": v.mean_b,
-                    "ci_a_low": v.mean_ci_a[0], "ci_a_high": v.mean_ci_a[1],
-                    "ci_b_low": v.mean_ci_b[0], "ci_b_high": v.mean_ci_b[1],
-                    "test_used": v.test_used, "p_value": v.p_value,
-                    "ci_overlap": v.ci_overlap,
-                    "interval_intersect": v.interval_intersect,
-                    "reliable": v.reliable, "inconclusive": v.inconclusive,
-                    "n_failed_a": v.n_failed_a, "n_failed_b": v.n_failed_b,
-                }
-            )
+    _write_csv(out, VERDICT_FIELDS, (
+        {
+            "method": v.method, "r_a": v.r_a, "r_b": v.r_b,
+            "mean_a": v.mean_a, "mean_b": v.mean_b,
+            "ci_a_low": v.mean_ci_a[0], "ci_a_high": v.mean_ci_a[1],
+            "ci_b_low": v.mean_ci_b[0], "ci_b_high": v.mean_ci_b[1],
+            "test_used": v.test_used, "p_value": v.p_value,
+            "ci_overlap": v.ci_overlap,
+            "interval_intersect": v.interval_intersect,
+            "reliable": v.reliable, "inconclusive": v.inconclusive,
+            "n_failed_a": v.n_failed_a, "n_failed_b": v.n_failed_b,
+        }
+        for v in verdicts
+    ))
 
 
 def cmd_import_incidence(args) -> int:
@@ -495,7 +429,7 @@ def run_experiment(config: dict, out_dir) -> int:
                                    derive_seed(master, f"ci:{b}:{t_cp}", k),
                                    boot_b=cfg["bootstrap_b"])
                 )
-            _write_estimate_csv(esub / f"trial{k:03d}.csv", rows)
+            _write_csv(esub / f"trial{k:03d}.csv", ESTIMATE_FIELDS, rows)
         _stage_mark(esub, cfg_digest)
     timings["estimate"] = time.perf_counter() - t0
 
@@ -503,39 +437,9 @@ def run_experiment(config: dict, out_dir) -> int:
     t0 = time.perf_counter()
     report = []
     for b, (grammar, label, program) in enumerate(programs):
-        true_s = len(program.ground_truth)
-        grouped = {}
-        for path in sorted((edir / f"prog{b:03d}").glob("*.csv")):
-            with path.open() as fh:
-                for row in csv.DictReader(fh):
-                    grouped.setdefault((row["method"], int(row["t"])), []).append(row)
-        for (method, t_cp), rows in sorted(grouped.items()):
-            results = [
-                TrialResult(i, method, t_cp, _row_to_estimate(row), true_s)
-                for i, row in enumerate(rows)
-            ]
-            ok = [r for r in results if r.estimate.status != "failed"]
-            cov, n_failed = ci_coverage(results, true_s)
-            report.append(
-                {
-                    "program": b,
-                    "estimator": method,
-                    "t": t_cp,
-                    "true_s": true_s,
-                    "mean_bias": mean_bias(ok, true_s) if ok else float("nan"),
-                    "imprecision": imprecision(ok, true_s) if len(ok) >= 2 else float("nan"),
-                    "ci_coverage": cov,
-                    "n_failed": n_failed,
-                    "k": len(results),
-                }
-            )
+        report += rq1_report(edir / f"prog{b:03d}", len(program.ground_truth), program=b)
     _write(out / "report.json", json.dumps(report, indent=2) + "\n")
-    fields = ["program", "estimator", "t", "true_s", "mean_bias", "imprecision",
-              "ci_coverage", "n_failed", "k"]
-    with (out / "report.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(report)
+    _write_csv(out / "report.csv", RUN_REPORT_FIELDS, report)
     timings["evaluate"] = time.perf_counter() - t0
 
     # Stage 5: RQ2 sensitivity on rebinned logs.

@@ -2,9 +2,10 @@
 
 Twelve estimators map frequency counts (t, f_1..f_t) to a point estimate of
 the total number of coverage elements, with a two-sided confidence interval.
-Chao-type intervals use the classical asymptotic-variance log-transform
-construction; everything else (and any degenerate case) falls back to a
-nonparametric bootstrap over sampling units.  Degenerate inputs never raise:
+Chao-type intervals are normal intervals on the classical asymptotic
+variance, truncated below at the observed richness; everything else (and any
+degenerate case) falls back to a nonparametric bootstrap over sampling
+units.  Degenerate inputs never raise:
 every estimator returns a status of ok, degenerate-fallback, or failed.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .incidence import FrequencyCounts, IncidenceMatrix, frequency_counts, resample_units
+from .incidence import FrequencyCounts, IncidenceMatrix, counts_from_y, frequency_counts
 
 ALL_METHODS = (
     "chao2",
@@ -120,9 +121,9 @@ def _jk2(c: FrequencyCounts):
     )
 
 
-def _ice(c: FrequencyCounts, bias_corrected_cv=False, cutoff=10, t_star=None):
+def _ice(c: FrequencyCounts, bias_corrected_cv=False):
     t = c.t
-    t_star = t if t_star is None else t_star
+    cutoff = 10  # elements seen in more units than this count as frequent
     f = c.f
     s_inf = sum(fk for k, fk in f.items() if k <= cutoff)
     s_freq = c.s_obs - s_inf
@@ -136,18 +137,18 @@ def _ice(c: FrequencyCounts, bias_corrected_cv=False, cutoff=10, t_star=None):
         point, _, _ = _chao2(c)
         return point, "degenerate-fallback", {"reason": "zero sample coverage, chao2 fallback"}
     sum_kk1 = sum(k * (k - 1) * fk for k, fk in f.items() if k <= cutoff)
-    if t_star > 1:
+    if t > 1:
         gamma2 = max(
-            (s_inf / cov) * (t_star / (t_star - 1.0)) * sum_kk1 / (u * u) - 1.0, 0.0
+            (s_inf / cov) * (t / (t - 1.0)) * sum_kk1 / (u * u) - 1.0, 0.0
         )
     else:
         gamma2 = 0.0
-    diagnostics = {"coverage": cov, "cv2": gamma2, "t_star": t_star}
+    diagnostics = {"coverage": cov, "cv2": gamma2, "t_star": t}
     if bias_corrected_cv:
-        if u > 1 and t_star > 1:
+        if u > 1 and t > 1:
             gamma2 = max(
                 gamma2
-                * (1.0 + (f1 / cov) * (t_star / (t_star - 1.0)) * sum_kk1 / (u * (u - 1.0))),
+                * (1.0 + (f1 / cov) * (t / (t - 1.0)) * sum_kk1 / (u * (u - 1.0))),
                 0.0,
             )
         diagnostics["cv2_corrected"] = gamma2
@@ -351,15 +352,12 @@ def _npmle_finish(c: FrequencyCounts, penalized, cfg, w, pis, ll, iters, ll_delt
     }
 
 
-def point_estimate(counts: FrequencyCounts, method: str, *, cutoff: int = 10,
-                   t_star: int = None, em_config: EMConfig = None):
+def point_estimate(counts: FrequencyCounts, method: str, *, em_config: EMConfig = None):
     """Dispatch to one of the twelve estimators; returns (point, status, diagnostics)."""
-    return point_estimates([counts], method, cutoff=cutoff, t_star=t_star,
-                           em_config=em_config)[0]
+    return point_estimates([counts], method, em_config=em_config)[0]
 
 
-def point_estimates(counts_list, method: str, *, cutoff: int = 10, t_star: int = None,
-                    em_config: EMConfig = None):
+def point_estimates(counts_list, method: str, *, em_config: EMConfig = None):
     """point_estimate for each count vector in ``counts_list``.
 
     The NPMLE methods fit all the vectors in one batched EM; each result is
@@ -375,7 +373,7 @@ def point_estimates(counts_list, method: str, *, cutoff: int = 10, t_star: int =
         elif method in ("unpmle", "pnpmle"):
             mixture.append(i)
         elif method in ("ice", "ice1"):
-            results[i] = _ice(counts, method == "ice1", cutoff, t_star)
+            results[i] = _ice(counts, method == "ice1")
         else:
             results[i] = _CLOSED_FORMS[method](counts)
     fits = _npmle([counts_list[i] for i in mixture], method == "pnpmle", em_config or EMConfig())
@@ -415,25 +413,11 @@ def _chao_type_variance(c: FrequencyCounts, method: str):
     return None
 
 
-def _log_transform_ci(point, s_obs, var, level):
-    """Chao's log-transform interval for S >= S_obs.
-
-    Its lower bound strictly exceeds S_obs whenever the estimate does, so
-    it systematically misses the true value in near-complete samples; kept
-    as an option, but the default analytic CI is the truncated normal one.
-    """
-    excess = point - s_obs
-    if excess <= 0 or var <= 0:
-        return float(s_obs), float(point)
-    z = ndtri(0.5 + level / 2.0)
-    r = math.exp(z * math.sqrt(math.log(1.0 + var / excess ** 2)))
-    return s_obs + excess / r, s_obs + excess * r
-
-
 def _normal_ci(point, s_obs, var, level):
     """Symmetric normal interval truncated below at S_obs.
 
-    Unlike the log-transform form, the lower bound can sit at S_obs, so the
+    Unlike Chao's log-transform form, whose lower bound strictly exceeds
+    S_obs whenever the estimate does, the lower bound can sit at S_obs, so the
     interval keeps nominal coverage when the sample is nearly complete
     (true S = S_obs happens with sizable probability in that regime).
     """
@@ -449,30 +433,21 @@ BOOT_EM_CONFIG = EMConfig(grid_size=20, tol=1e-7, max_iter=1000)
 
 
 def bootstrap_ci(matrix: IncidenceMatrix, method: str, level: float, seed: int = 0,
-                 b: int = 500, point: float = None, **opts):
+                 b: int = 500, point: float = None):
     """Percentile interval from resampling sampling-unit columns with replacement."""
     rng = np.random.default_rng(seed)
     t = matrix.t
-    if method in ("unpmle", "pnpmle") and opts.get("em_config") is None:
-        opts = dict(opts, em_config=BOOT_EM_CONFIG)
-    # Dense 0/1 matrix once; per-resample Y and f_k are then pure numpy.
-    dense = np.zeros((len(matrix.element_ids), t), dtype=np.uint8)
-    for row, i in enumerate(matrix.element_ids):
-        dense[row, list(matrix.rows[i])] = 1
     keys = []
     distinct = {}  # identical resampled counts recur often on saturated data
     for _ in range(b):
-        idx = rng.integers(0, t, size=t)
-        y = dense[:, idx].sum(axis=1)
-        y = y[y > 0]
-        counts = np.bincount(y)
-        f = {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
-        key = tuple(sorted(f.items()))
+        y = matrix.w[:, rng.integers(0, t, size=t)].sum(axis=1)
+        y = np.sort(y[y > 0])
+        key = y.tobytes()  # the sorted Y determine the f_k and vice versa
         if key not in distinct:
-            distinct[key] = FrequencyCounts(t=t, f=f, s_obs=int(len(y)),
-                                            y=tuple(int(v) for v in np.sort(y)))
+            distinct[key] = counts_from_y(t, y)
         keys.append(key)
-    fits = dict(zip(distinct, point_estimates(list(distinct.values()), method, **opts)))
+    fits = dict(zip(distinct, point_estimates(list(distinct.values()), method,
+                                              em_config=BOOT_EM_CONFIG)))
     values = [p for p, status, _ in map(fits.get, keys)
               if status != "failed" and p is not None and math.isfinite(p)]
     if not values:
@@ -486,17 +461,10 @@ def bootstrap_ci(matrix: IncidenceMatrix, method: str, level: float, seed: int =
 
 
 def estimate(matrix: IncidenceMatrix, method: str, level: float = 0.90, *,
-             seed: int = 0, boot_b: int = 500, cutoff: int = 10,
-             exact_t_star: bool = False, em_config: EMConfig = None,
-             analytic_ci: str = "normal") -> EstimateWithCI:
+             seed: int = 0, boot_b: int = 500) -> EstimateWithCI:
     """Point estimate plus CI for one method on an incidence matrix."""
     counts = frequency_counts(matrix)
-    t_star = None
-    if exact_t_star:
-        infreq = {i for i in matrix.element_ids if len(matrix.rows[i]) <= cutoff}
-        t_star = sum(1 for unit in matrix.units() if unit & infreq)
-    opts = dict(cutoff=cutoff, t_star=t_star, em_config=em_config)
-    point, status, diagnostics = point_estimate(counts, method, **opts)
+    point, status, diagnostics = point_estimate(counts, method)
     if status == "failed":
         return _failed(method, level, diagnostics.get("reason", "failed"))
     diagnostics = dict(diagnostics)
@@ -505,15 +473,11 @@ def estimate(matrix: IncidenceMatrix, method: str, level: float = 0.90, *,
         return EstimateWithCI(method, point, point, point, level, status, diagnostics)
     var = _chao_type_variance(counts, method) if method in ANALYTIC_CI_METHODS else None
     if var is not None:
-        if analytic_ci == "log":
-            lo, hi = _log_transform_ci(point, counts.s_obs, var, level)
-            diagnostics["ci"] = "analytic-log-transform"
-        else:
-            lo, hi = _normal_ci(point, counts.s_obs, var, level)
-            diagnostics["ci"] = "analytic-normal-truncated"
+        lo, hi = _normal_ci(point, counts.s_obs, var, level)
+        diagnostics["ci"] = "analytic-normal-truncated"
         diagnostics["variance"] = var
     else:
-        lo, hi, n_ok = bootstrap_ci(matrix, method, level, seed, boot_b, point, **opts)
+        lo, hi, n_ok = bootstrap_ci(matrix, method, level, seed, boot_b, point)
         diagnostics["ci"] = "unit-bootstrap-percentile"
         diagnostics["bootstrap_resamples"] = n_ok
     lo = min(lo, point)

@@ -2,7 +2,8 @@
 
 RQ1 machinery: a Bernoulli product simulation oracle with known true
 richness, mean relative bias over K trials, imprecision (sample variance of
-per-trial relative biases), and CI coverage.  RQ2 machinery: per-trial
+per-trial relative biases), and CI coverage, reported per estimator and
+checkpoint from the trials' estimate CSVs.  RQ2 machinery: per-trial
 estimates under different sampling-unit binnings of the same campaigns,
 compared with Welch's t-test (or Mann-Whitney on non-normal samples) plus a
 CI cross-containment check.
@@ -10,8 +11,9 @@ CI cross-containment check.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import csv
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -60,13 +62,9 @@ def simulate_incidence(model: BernoulliProductModel, rng_seed: int) -> Incidence
     rng = np.random.default_rng(rng_seed)
     pi = np.asarray(model.pi)[:, None]
     w = rng.random((model.s, model.t)) < pi
-    rows = {}
-    for i in range(model.s):
-        cols = np.flatnonzero(w[i])
-        if len(cols):
-            rows[i] = tuple(int(j) for j in cols)
-    ids = tuple(sorted(rows))
-    return IncidenceMatrix(t=model.t, element_ids=ids, rows=rows)
+    seen = w.any(axis=1)
+    return IncidenceMatrix(t=model.t, element_ids=tuple(np.flatnonzero(seen).tolist()),
+                           w=w[seen].view(np.uint8))
 
 
 def mean_bias(results, true_s: float) -> float:
@@ -95,6 +93,49 @@ def ci_coverage(results, true_s: float):
         return float("nan"), n_failed
     hits = sum(1 for r in ok if r.estimate.ci_low <= true_s <= r.estimate.ci_high)
     return hits / len(ok), n_failed
+
+
+def _row_to_estimate(row) -> EstimateWithCI:
+    return EstimateWithCI(
+        method=row["method"],
+        point=float(row["point"]),
+        ci_low=float(row["ci_low"]),
+        ci_high=float(row["ci_high"]),
+        level=0.0,
+        status=row["status"],
+    )
+
+
+def rq1_report(estimates_dir, true_s: int, program: int = None) -> list:
+    """RQ1 metrics of the estimate CSVs in ``estimates_dir``, one per trial.
+
+    Rows are grouped by (estimator, t), and each group gives one entry, in
+    (estimator, t) order.  With ``program`` set, an entry also names the
+    program and the true richness.
+    """
+    grouped = {}
+    for path in sorted(Path(estimates_dir).glob("*.csv")):
+        with path.open() as fh:
+            for row in csv.DictReader(fh):
+                grouped.setdefault((row["method"], int(row["t"])), []).append(row)
+    report = []
+    for (method, t), rows in sorted(grouped.items()):
+        results = [TrialResult(i, method, t, _row_to_estimate(row), true_s)
+                   for i, row in enumerate(rows)]
+        ok = [r for r in results if r.estimate.status != "failed"]
+        cov, n_failed = ci_coverage(results, true_s)
+        entry = {"estimator": method, "t": t}
+        if program is not None:
+            entry = {"program": program, **entry, "true_s": true_s}
+        report.append(dict(
+            entry,
+            mean_bias=mean_bias(ok, true_s) if ok else float("nan"),
+            imprecision=imprecision(ok, true_s) if len(ok) >= 2 else float("nan"),
+            ci_coverage=cov,
+            n_failed=n_failed,
+            k=len(results),
+        ))
+    return report
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,22 @@
 """The incidence data model: W matrix, Y frequencies, f_k counts, rebinning.
 
-An element-by-sampling-unit incidence matrix is stored sparsely as, per
-element, the sorted tuple of unit indices in which it was covered.  All
-estimator inputs (incidence frequencies Y_i, frequency counts f_k, the
-observed richness) derive from it; merging consecutive units by logical OR
-(rebinning) simulates coarser sampling-unit sizes on the same campaign.
+An element-by-sampling-unit incidence matrix is stored densely: the
+ascending ids of the observed elements and one 0/1 ``uint8`` array W with a
+row per element and a column per unit.  All estimator inputs derive from W:
+the incidence frequencies Y_i are its row sums, the frequency counts f_k a
+``bincount`` of Y, and the observed richness its row count.  Merging
+consecutive units by logical OR (rebinning) simulates coarser sampling-unit
+sizes on the same campaign.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain, compress
+from types import MappingProxyType
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -19,25 +25,29 @@ class IncidenceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
     t: int
     element_ids: tuple  # ascending
-    rows: dict  # element id -> sorted tuple of unit indices (Y_i >= 1)
+    w: np.ndarray  # uint8 0/1, (len(element_ids), t); no all-zero row
 
-    def incidence_frequency(self, element_id) -> int:
-        return len(self.rows[element_id])
+    def __eq__(self, other):
+        """Value equality; a generated ``==`` would raise on the array field."""
+        if not isinstance(other, IncidenceMatrix):
+            return NotImplemented
+        return (self.t == other.t and self.element_ids == other.element_ids
+                and np.array_equal(self.w, other.w))
 
-    def column(self, j) -> frozenset:
-        return frozenset(i for i in self.element_ids if j in set(self.rows[i]))
+    @property
+    def rows(self):
+        """Read-only view: element id -> ascending tuple of unit indices."""
+        return MappingProxyType({i: tuple(np.flatnonzero(row).tolist())
+                                 for i, row in zip(self.element_ids, self.w)})
 
     def units(self):
-        """Reconstruct the per-unit coverage sets."""
-        out = [set() for _ in range(self.t)]
-        for i, cols in self.rows.items():
-            for j in cols:
-                out[j].add(i)
-        return [frozenset(u) for u in out]
+        """The per-unit coverage sets."""
+        ids = np.array(self.element_ids, dtype=np.int64)
+        return [frozenset(ids[np.flatnonzero(col)].tolist()) for col in self.w.T]
 
 
 @dataclass(frozen=True)
@@ -60,28 +70,24 @@ def build_incidence_matrix(units) -> IncidenceMatrix:
     units = list(units)
     if not units:
         raise IncidenceError("empty campaign log")
-    rows = {}
-    for j, unit in enumerate(units):
-        for el in unit:
-            rows.setdefault(el, []).append(j)
-    ids = tuple(sorted(rows))
-    return IncidenceMatrix(
-        t=len(units),
-        element_ids=ids,
-        rows={i: tuple(rows[i]) for i in ids},
-    )
+    sizes = [len(u) for u in units]
+    els = np.fromiter(chain.from_iterable(units), dtype=np.int64, count=sum(sizes))
+    ids, row = np.unique(els, return_inverse=True)
+    w = np.zeros((len(ids), len(units)), dtype=np.uint8)
+    w[row, np.repeat(np.arange(len(units)), sizes)] = 1
+    return IncidenceMatrix(t=len(units), element_ids=tuple(ids.tolist()), w=w)
+
+
+def counts_from_y(t: int, y) -> FrequencyCounts:
+    """FrequencyCounts of the incidence frequencies ``y`` (all >= 1)."""
+    counts = np.bincount(y)
+    k = np.flatnonzero(counts)
+    return FrequencyCounts(t=t, f=dict(zip(k.tolist(), counts[k].tolist())),
+                           s_obs=len(y), y=tuple(y.tolist()))
 
 
 def frequency_counts(matrix: IncidenceMatrix) -> FrequencyCounts:
-    y = tuple(len(matrix.rows[i]) for i in matrix.element_ids)
-    f = {}
-    for yi in y:
-        f[yi] = f.get(yi, 0) + 1
-    return FrequencyCounts(t=matrix.t, f=f, s_obs=len(y), y=y)
-
-
-def observed_richness(counts: FrequencyCounts) -> int:
-    return sum(counts.f.values())
+    return counts_from_y(matrix.t, matrix.w.sum(axis=1))
 
 
 def saturation_indicator(counts: FrequencyCounts) -> bool:
@@ -104,31 +110,11 @@ def rebin(matrix: IncidenceMatrix, m: int) -> IncidenceMatrix:
     t_new = matrix.t // m
     if matrix.t % m:
         log.warning("rebin: dropping %d trailing units (t=%d, m=%d)", matrix.t % m, matrix.t, m)
-    rows = {}
-    for i, cols in matrix.rows.items():
-        merged = sorted({j // m for j in cols if j // m < t_new})
-        if merged:
-            rows[i] = tuple(merged)
-    ids = tuple(sorted(rows))
-    return IncidenceMatrix(t=t_new, element_ids=ids, rows={i: rows[i] for i in ids})
-
-
-def resample_units(matrix: IncidenceMatrix, unit_indices) -> FrequencyCounts:
-    """Frequency counts of a bootstrap resample of unit columns (with replacement)."""
-    units = matrix.units()
-    y = {}
-    for j in unit_indices:
-        for el in units[j]:
-            y[el] = y.get(el, 0) + 1
-    f = {}
-    for yi in y.values():
-        f[yi] = f.get(yi, 0) + 1
-    return FrequencyCounts(
-        t=len(list(unit_indices)),
-        f=f,
-        s_obs=len(y),
-        y=tuple(y[i] for i in sorted(y)),
-    )
+    s = len(matrix.element_ids)
+    w = matrix.w[:, :t_new * m].reshape(s, t_new, m).any(axis=2)
+    keep = w.any(axis=1)
+    return IncidenceMatrix(t=t_new, element_ids=tuple(compress(matrix.element_ids, keep)),
+                           w=w[keep].view(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +124,8 @@ def resample_units(matrix: IncidenceMatrix, unit_indices) -> FrequencyCounts:
 
 def to_dense_csv(matrix: IncidenceMatrix) -> str:
     header = "element_id," + ",".join(f"u{j}" for j in range(matrix.t))
-    lines = [header]
-    for i in matrix.element_ids:
-        present = set(matrix.rows[i])
-        lines.append(str(i) + "," + ",".join("1" if j in present else "0" for j in range(matrix.t)))
+    lines = [header] + [f"{i}," + ",".join(map(str, row))
+                        for i, row in zip(matrix.element_ids, matrix.w.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -153,6 +137,8 @@ def from_dense_csv(text: str) -> IncidenceMatrix:
     if header[0] != "element_id":
         raise IncidenceError("line 1: expected 'element_id' header column")
     t = len(header) - 1
+    if t == 0:
+        raise IncidenceError("line 1: no unit columns after 'element_id'")
     rows = {}
     for lineno, ln in enumerate(lines[1:], start=2):
         cells = ln.split(",")
@@ -162,17 +148,14 @@ def from_dense_csv(text: str) -> IncidenceMatrix:
             el = int(cells[0])
         except ValueError as exc:
             raise IncidenceError(f"line {lineno}: bad element id {cells[0]!r}") from exc
-        cols = []
         for j, cell in enumerate(cells[1:]):
-            if cell == "1":
-                cols.append(j)
-            elif cell != "0":
+            if cell not in ("0", "1"):
                 raise IncidenceError(
                     f"line {lineno}, column {j + 2}: non-binary entry {cell!r}"
                 )
         if el in rows:
             raise IncidenceError(f"line {lineno}: duplicate element id {el}")
-        if cols:
-            rows[el] = tuple(cols)
-    ids = tuple(sorted(rows))
-    return IncidenceMatrix(t=t, element_ids=ids, rows={i: rows[i] for i in ids})
+        rows[el] = [cell == "1" for cell in cells[1:]]
+    ids = sorted(el for el, row in rows.items() if any(row))
+    w = np.array([rows[i] for i in ids], dtype=np.uint8).reshape(len(ids), t)
+    return IncidenceMatrix(t=t, element_ids=tuple(ids), w=w)

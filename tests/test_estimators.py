@@ -245,12 +245,6 @@ class TestConfidenceIntervals:
         assert s_obs <= res.ci_low <= res.point <= res.ci_high
         assert res.diagnostics["variance"] > 0
 
-    def test_chao2_log_transform_option(self, fixture_matrix):
-        res = estimate(fixture_matrix, "chao2", level=0.90, analytic_ci="log")
-        assert res.diagnostics["ci"] == "analytic-log-transform"
-        s_obs = frequency_counts(fixture_matrix).s_obs
-        assert s_obs < res.ci_low <= res.point <= res.ci_high
-
     def test_wider_level_widens_analytic_interval(self, fixture_matrix):
         narrow = estimate(fixture_matrix, "chao2", level=0.80)
         wide = estimate(fixture_matrix, "chao2", level=0.99)

@@ -2,18 +2,18 @@
 
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachbench.evaluation import BernoulliProductModel, simulate_incidence
 from reachbench.incidence import (
     IncidenceError,
     build_incidence_matrix,
     frequency_counts,
     from_dense_csv,
-    observed_richness,
     rebin,
-    resample_units,
     saturation_indicator,
     to_dense_csv,
 )
@@ -42,11 +42,6 @@ class TestBuild:
         with pytest.raises(IncidenceError):
             build_incidence_matrix([])
 
-    def test_column_projection(self):
-        m = build_incidence_matrix(UNITS)
-        assert m.column(0) == {0, 1, 4}
-        assert m.column(2) == frozenset()
-
 
 class TestFrequencyCounts:
     def test_hand_worked_counts(self):
@@ -56,7 +51,6 @@ class TestFrequencyCounts:
         assert counts.f == {2: 4}
         assert counts.s_obs == 4
         assert counts.total_incidence == 8
-        assert observed_richness(counts) == 4
 
     def test_counts_are_recount_of_rows(self, fixture_matrix):
         counts = frequency_counts(fixture_matrix)
@@ -118,6 +112,13 @@ class TestRebin:
         got = rebin(build_incidence_matrix(units), m)
         assert got.t == t_new
         assert got.units() == expected
+        # An element covered only in the dropped trailing units keeps no row.
+        assert got.element_ids == tuple(sorted(frozenset().union(*expected)))
+        y = [sum(1 for u in expected if i in u) for i in got.element_ids]
+        counts = frequency_counts(got)
+        assert counts.y == tuple(y)
+        assert counts.f == {k: y.count(k) for k in set(y)}
+        assert counts.s_obs == len(y)
 
     def test_rebin_preserves_or_shrinks_richness(self, fixture_matrix):
         base = frequency_counts(fixture_matrix).s_obs
@@ -128,24 +129,29 @@ class TestRebin:
         assert frequency_counts(rebin(fixture_matrix, 5)).s_obs == base
 
 
-class TestResample:
-    def test_identity_resample_matches_original(self, fixture_matrix):
-        counts = frequency_counts(fixture_matrix)
-        res = resample_units(fixture_matrix, range(fixture_matrix.t))
-        assert res.f == counts.f and res.s_obs == counts.s_obs
-
-    def test_repeated_single_unit(self):
-        m = build_incidence_matrix(UNITS)
-        res = resample_units(m, [0, 0, 0])
-        assert res.t == 3
-        assert res.f == {3: 3}  # elements 0, 1, 4 each in all 3 draws
-        assert res.s_obs == 3
+def test_every_constructor_matches_build_from_units(fixture_matrix):
+    model = BernoulliProductModel(6, (0.5, 0.01, 0.3, 0.9, 0.05, 0.2), 12)
+    made = [
+        rebin(fixture_matrix, 3),
+        rebin(fixture_matrix, 5),
+        simulate_incidence(model, 3),
+        from_dense_csv(to_dense_csv(fixture_matrix)),
+        from_dense_csv("element_id,u0,u1,u2\n9,0,0,0\n4,0,1,1\n2,1,0,0\n"),
+    ]
+    for m in made:
+        built = build_incidence_matrix(m.units())
+        assert (m.t, m.element_ids, m.rows) == (built.t, built.element_ids, built.rows)
+        assert m.w.dtype == np.uint8
+        assert set(np.unique(m.w).tolist()) <= {0, 1}
+        assert m.w.shape == (len(m.element_ids), m.t)
 
 
 class TestDenseCsv:
     def test_roundtrip(self, fixture_matrix):
         back = from_dense_csv(to_dense_csv(fixture_matrix))
-        assert back == fixture_matrix
+        assert back.t == fixture_matrix.t
+        assert back.element_ids == fixture_matrix.element_ids
+        assert back.rows == fixture_matrix.rows
 
     def test_hand_worked_layout(self):
         m = build_incidence_matrix([frozenset({3}), frozenset({3, 7})])
@@ -157,6 +163,7 @@ class TestDenseCsv:
         [
             ("", "empty"),
             ("id,u0\n3,1\n", "line 1"),
+            ("element_id\n", "line 1"),
             ("element_id,u0,u1\n3,1\n", "line 2"),
             ("element_id,u0\nx,1\n", "line 2"),
             ("element_id,u0,u1\n3,1,2\n", "column 3"),
