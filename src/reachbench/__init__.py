@@ -15,6 +15,7 @@ from .codegen import (
     compile_to_parser,
     cyclomatic_complexity,
     execute_parser,
+    interpret_parser,
     export_c_source,
 )
 from .estimators import ALL_METHODS, EstimateWithCI, estimate, estimate_all, point_estimate

@@ -40,7 +40,7 @@ from .fuzzer import (
 )
 from .grammar import parse_grammar, serialize_grammar
 from .grammargen import GenConfig, generate_grammar, parse_label, serialize_label
-from .incidence import build_incidence_matrix, from_dense_csv, rebin
+from .incidence import build_incidence_matrix, from_dense_csv, head, rebin
 
 log = logging.getLogger(__name__)
 
@@ -265,16 +265,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    unit_sets = [
-        parse_units(_read(p)) for p in sorted(Path(args.logs).glob("*.units.txt"))
-    ]
-    if not unit_sets:
+    trials = [build_incidence_matrix(parse_units(_read(p)))
+              for p in sorted(Path(args.logs).glob("*.units.txt"))]
+    if not trials:
         log.error("no *.units.txt logs in %s", args.logs)
         return EXIT_CONFIG
     unit_sizes = [int(s) for s in args.unit_sizes.split(",")]
     methods = ALL_METHODS if args.methods == "all" else tuple(args.methods.split(","))
     verdicts = sensitivity_analysis(
-        unit_sets, unit_sizes, methods, alpha=args.alpha, level=args.level,
+        trials, unit_sizes, methods, alpha=args.alpha, level=args.level,
         base_r=unit_sizes[0], seed=args.seed,
     )
     _write_verdicts(args.out, verdicts)
@@ -392,7 +391,8 @@ def run_experiment(config: dict, out_dir) -> int:
         logs = []
         if _stage_done(psub, cfg_digest):
             for k in range(cfg["trials_k"]):
-                logs.append(parse_units(_read(psub / f"trial{k:03d}.units.txt")))
+                logs.append(build_incidence_matrix(
+                    parse_units(_read(psub / f"trial{k:03d}.units.txt"))))
         else:
             for k in range(cfg["trials_k"]):
                 corpus = generate_seed_corpus(
@@ -404,7 +404,7 @@ def run_experiment(config: dict, out_dir) -> int:
                 )
                 clog = run_campaign(program, corpus, camp)
                 _write(psub / f"trial{k:03d}.units.txt", serialize_units(clog.unit_coverage))
-                logs.append([set(u) for u in clog.unit_coverage])
+                logs.append(build_incidence_matrix(clog.unit_coverage))
             _stage_mark(psub, cfg_digest)
         all_logs[b] = logs
     timings["fuzz"] = time.perf_counter() - t0
@@ -416,16 +416,15 @@ def run_experiment(config: dict, out_dir) -> int:
         esub = edir / f"prog{b:03d}"
         if _stage_done(esub, cfg_digest):
             continue
-        for k, units in enumerate(all_logs[b]):
-            t_max = len(units)
+        for k, trial in enumerate(all_logs[b]):
+            t_max = trial.t
             checkpoints = cfg["checkpoints"] or sorted(
                 {max(2, t_max // 8), max(2, t_max // 4), max(2, t_max // 2), t_max}
             )
             rows = []
             for t_cp in checkpoints:
-                matrix = build_incidence_matrix(units[:t_cp])
                 rows.extend(
-                    _estimate_rows(matrix, methods, level,
+                    _estimate_rows(head(trial, t_cp), methods, level,
                                    derive_seed(master, f"ci:{b}:{t_cp}", k),
                                    boot_b=cfg["bootstrap_b"])
                 )

@@ -6,13 +6,22 @@ tail-linear recursive arms are lowered to while loops.  Every arm carries a
 coverage element, every procedure carries an error-exit element, and
 injected dead branches become statically false guards with an element
 inside.  The element ids are dense and deterministic from the grammar, so
-the in-process executor and the exported C parser report identical sets.
+three executors report identical sets: ``interpret_parser``, the reference
+stack interpreter; ``execute_parser``, which runs Python source generated
+per grammar and compiled once, and which the fuzzer calls; and the C
+translation unit of ``export_c_source``.  The generated parser hands an
+input back to the interpreter when it would exceed the step budget or the
+recursion limit, so ``execute_parser`` equals ``interpret_parser`` on every
+input, step count included.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property, partial
+from itertools import compress, count, groupby
+from typing import NamedTuple
 
 from .grammar import (
     EOI,
@@ -60,12 +69,21 @@ class Procedure:
     dead_element_ids: tuple
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
-    covered: frozenset
+def covered_ids(mask: int) -> frozenset:
+    """The element ids in a coverage mask, which has bit ``8 * id`` set for
+    each: the little-endian bytes of a bytearray with one byte per element."""
+    return frozenset(compress(count(), mask.to_bytes((mask.bit_length() + 7) // 8, "little")))
+
+
+class ExecutionResult(NamedTuple):
+    mask: int  # the covered element ids, as read by covered_ids
     verdict: str  # 'accept' | 'reject'
     consumed: int
     steps: int
+
+    @property
+    def covered(self) -> frozenset:
+        return covered_ids(self.mask)
 
 
 @dataclass(frozen=True)
@@ -81,6 +99,12 @@ class ParserProgram:
     @property
     def n_elements(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def runner(self):
+        """The generated parser that ``execute_parser`` runs, compiled once
+        per program: ``runner(data, step_budget) -> ExecutionResult``."""
+        return _compile_runner(self)
 
 
 def compile_to_parser(grammar: Grammar, label: GroundTruthLabel = None) -> ParserProgram:
@@ -185,17 +209,29 @@ def ground_truth_elements(
 
 
 def execute_parser(program: ParserProgram, data: bytes, step_budget: int = 1_000_000) -> ExecutionResult:
-    """Run the recursive-descent parser on a byte string.
+    """Run the program's generated parser on a byte string.
+
+    The result equals ``interpret_parser``'s on every input: the covered
+    elements, the verdict, the bytes consumed and the step count.
+    """
+    if step_budget <= 0:
+        raise ValueError("step_budget must be > 0")
+    return program.runner(data, step_budget)
+
+
+def interpret_parser(program: ParserProgram, data: bytes, step_budget: int = 1_000_000) -> ExecutionResult:
+    """The reference stack interpreter of a parser program.
 
     Dispatch failures and terminal mismatches cover the owning procedure's
     error-exit element and unwind; accept requires the start procedure to
-    return with all input consumed.
+    return with all input consumed.  Each popped stack item is one step;
+    the run stops, rejecting, at the first step past ``step_budget``.
     """
     if step_budget <= 0:
         raise ValueError("step_budget must be > 0")
     dispatch = program.dispatch
     error_element = program.error_element
-    covered = set()
+    hit = bytearray(program.n_elements)
     n = len(data)
     pos = 0
     steps = 0
@@ -203,24 +239,24 @@ def execute_parser(program: ParserProgram, data: bytes, step_budget: int = 1_000
     while stack:
         steps += 1
         if steps > step_budget:
-            return ExecutionResult(frozenset(covered), "reject", pos, steps)
+            return ExecutionResult(int.from_bytes(hit, "little"), "reject", pos, steps)
         sym, owner = stack.pop()
         if type(sym) is int:
             if pos < n and data[pos] == sym:
                 pos += 1
             else:
-                covered.add(error_element[owner])
-                return ExecutionResult(frozenset(covered), "reject", pos, steps)
+                hit[error_element[owner]] = 1
+                return ExecutionResult(int.from_bytes(hit, "little"), "reject", pos, steps)
         else:
             tok = data[pos] if pos < n else EOI
             entry = dispatch[sym].get(tok)
             if entry is None:
-                covered.add(error_element[sym])
-                return ExecutionResult(frozenset(covered), "reject", pos, steps)
-            covered.add(entry[0])
+                hit[error_element[sym]] = 1
+                return ExecutionResult(int.from_bytes(hit, "little"), "reject", pos, steps)
+            hit[entry[0]] = 1
             stack.extend(entry[1])
     verdict = "accept" if pos == n else "reject"
-    return ExecutionResult(frozenset(covered), verdict, pos, steps)
+    return ExecutionResult(int.from_bytes(hit, "little"), verdict, pos, steps)
 
 
 def cyclomatic_complexity(program: ParserProgram) -> int:
@@ -233,6 +269,155 @@ def cyclomatic_complexity(program: ParserProgram) -> int:
     for proc in program.procedures:
         total += len(proc.arms) + len(proc.dead_element_ids)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Generated Python backend
+# ---------------------------------------------------------------------------
+
+def _emit_py_arm(lines, arm, proc, index, ind, strip_tail_self):
+    """Emit one arm's body; a plain arm ends by returning the position.
+
+    The arm's dispatch and all its terminals are counted as steps on entry;
+    an error exit inside the arm takes back the terminals it never reads.
+    A run of terminals is tested in one condition and consumed in one step.
+    A leading terminal is not tested: it is the arm's whole PREDICT set,
+    which the dispatch matched.  A trailing call is returned directly.
+    """
+    rhs = arm.rhs[:-1] if strip_tail_self else arm.rhs
+    unread = sum(isinstance(sym, int) for sym in rhs)
+    lines.append(f"{ind}hit[{arm.element_id}] = 1")
+    lines.append(f"{ind}steps += {1 + unread}")
+    done = 0
+    for is_terminal, group in groupby(rhs, lambda sym: isinstance(sym, int)):
+        group = tuple(group)
+        if is_terminal:
+            unread -= len(group)
+            checks = [f"toks[pos + {o}] != {sym}" if o else f"toks[pos] != {sym}"
+                      for o, sym in enumerate(group) if done + o]
+            if checks:
+                lines.append(f"{ind}if {' or '.join(checks)}: "
+                             f"return mismatch({proc.error_element_id}, pos, {group}, {unread})")
+            lines.append(f"{ind}pos += {len(group)}")
+            done += len(group)
+            continue
+        for sym in group:
+            done += 1
+            call = f"p{index[sym]}(pos)"
+            if done == len(rhs) and not strip_tail_self:
+                lines.append(f"{ind}return {call}")
+                return
+            lines.append(f"{ind}pos = {call}")
+            take_back = f"steps -= {unread}; " if unread else ""
+            lines.append(f"{ind}if pos < 0: {take_back}return pos")
+    if not strip_tail_self:
+        lines.append(f"{ind}return pos")
+
+
+def _python_source(program: ParserProgram) -> str:
+    """Python source of ``make_runner(tables, result, fallback)``; mirrors
+    export_c_source.
+
+    One nested function per procedure takes the input position and returns
+    the position after its nonterminal, -1 once an error exit is hit, or
+    -2 once a loop has run past the step budget.  ``toks`` (the input bytes
+    plus EOI), ``hit`` (one byte per element), ``steps`` and ``end`` (the
+    position of an error exit) are closure cells.  ``steps`` counts the
+    interpreter's steps: one per dispatch (procedure entry or loop
+    re-dispatch) and one per terminal read, the failing one included.  If
+    the count exceeds the budget, or the recursion limit is hit, the input
+    is re-run through ``fallback``, the reference interpreter, which stops
+    where the budget runs out.  Dead guards emit nothing, since they never
+    fire.
+    """
+    index = {proc.nonterminal: i for i, proc in enumerate(program.procedures)}
+    names = ", ".join(f"d{i}" for i in range(len(program.procedures)))
+    out = [
+        "def make_runner(tables, result, fallback):",
+        f"    {names}, = tables",
+        "    toks = hit = None",
+        "    steps = budget = end = 0",
+        "    def mismatch(err, pos, group, unread):",
+        "        # Error exit at the first terminal of group that differs from the input.",
+        "        nonlocal steps, end",
+        "        o = 0",
+        "        while toks[pos + o] == group[o]:",
+        "            o += 1",
+        "        steps -= len(group) - o - 1 + unread",
+        "        end = pos + o",
+        "        hit[err] = 1",
+        "        return -1",
+    ]
+    for i, proc in enumerate(program.procedures):
+        loop_arms = [j for j, arm in enumerate(proc.arms) if arm.is_loop]
+        out.append(f"    def p{i}(pos):")
+        out.append("        nonlocal steps, end")
+        out.append(f"        a = d{i}[toks[pos]]")
+        if loop_arms:
+            cond = f"a == {loop_arms[0]}" if len(loop_arms) == 1 else f"a in {tuple(loop_arms)}"
+            out.append(f"        while {cond}:")
+            for j in loop_arms:
+                ind = "            "
+                if len(loop_arms) > 1:
+                    out.append(f"            {'if' if j == loop_arms[0] else 'elif'} a == {j}:")
+                    ind += "    "
+                _emit_py_arm(out, proc.arms[j], proc, index, ind, strip_tail_self=True)
+            # Ends a loop that would outrun the budget; run() then falls back.
+            out.append("            if steps > budget: return -2")
+            out.append(f"            a = d{i}[toks[pos]]")
+        for j, arm in enumerate(proc.arms):
+            if arm.is_loop:
+                continue
+            out.append(f"        if a == {j}:")
+            _emit_py_arm(out, arm, proc, index, "            ", strip_tail_self=False)
+        out.append(f"        hit[{proc.error_element_id}] = 1")
+        out.append("        steps += 1")
+        out.append("        end = pos")
+        out.append("        return -1")
+    out += [
+        "    def run(data, step_budget):",
+        "        nonlocal toks, hit, steps, budget",
+        "        toks = list(data)",
+        f"        toks.append({EOI})",
+        f"        hit = bytearray({program.n_elements})",
+        "        steps = 0",
+        "        budget = step_budget",
+        "        try:",
+        f"            pos = p{index[program.start]}(0)",
+        "        except RecursionError:",
+        "            return fallback(data, step_budget)",
+        "        if pos == -2 or steps > step_budget:",
+        "            return fallback(data, step_budget)",
+        "        if pos < 0:",
+        '            return result((int.from_bytes(hit, "little"), "reject", end, steps))',
+        '        verdict = "accept" if pos == len(data) else "reject"',
+        '        return result((int.from_bytes(hit, "little"), verdict, pos, steps))',
+        "    return run",
+        "",
+    ]
+    return "\n".join(out)
+
+
+def _dispatch_table(proc: Procedure) -> list:
+    """Token -> local arm index, -1 for the error exit."""
+    tbl = [-1] * TOKEN_DOMAIN_SIZE
+    for j, arm in enumerate(proc.arms):
+        for tok in arm.predict:
+            tbl[tok] = j
+    return tbl
+
+
+def _compile_runner(program: ParserProgram):
+    def fallback(data, step_budget):
+        return interpret_parser(program, data, step_budget)
+
+    namespace = {}
+    name = f"<parser {program.source_grammar_digest[:12]}>"
+    exec(compile(_python_source(program), name, "exec"), namespace)
+    tables = [_dispatch_table(proc) for proc in program.procedures]
+    # Builds an ExecutionResult from a tuple in half the time its __new__ takes.
+    result = partial(tuple.__new__, ExecutionResult)
+    return namespace["make_runner"](tables, result, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +469,7 @@ def export_c_source(program: ParserProgram) -> str:
 
     for proc in program.procedures:
         name = _c_name(proc.nonterminal)
-        # Dispatch table: token -> local arm index, -1 for error.
-        tbl = [-1] * TOKEN_DOMAIN_SIZE
-        for idx, arm in enumerate(proc.arms):
-            for tok in arm.predict:
-                tbl[tok] = idx
+        tbl = _dispatch_table(proc)
         rows = [", ".join(str(v) for v in tbl[i:i + 16]) for i in range(0, TOKEN_DOMAIN_SIZE, 16)]
         out.append(f"static const short dispatch_{name}[{TOKEN_DOMAIN_SIZE}] = {{")
         for row in rows:
@@ -320,9 +501,6 @@ def export_c_source(program: ParserProgram) -> str:
             _emit_arm_body(out, arm, proc, strip_tail_self=False)
             out.append("      return 0;")
             out.append("  }")
-        if loop_arms and not plain_arms:
-            # All arms are loop arms: falling out of the loop is an error.
-            pass
         out.append(f"  hit[{proc.error_element_id}] = 1;")
         out.append("  return 1;")
         out.append("}")

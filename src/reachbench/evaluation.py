@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import EstimateWithCI, estimate
-from .incidence import IncidenceMatrix, build_incidence_matrix, rebin
+from .incidence import IncidenceMatrix, rebin
 from .stattests import StatTestError, mann_whitney_u, shapiro_wilk, welch_t_test
 
 
@@ -176,7 +176,7 @@ def _estimates_for_binning(matrices, m, method, level, seed, **est_kw):
 
 
 def sensitivity_analysis(
-    unit_sets_per_trial,
+    trials,
     unit_sizes,
     methods,
     alpha: float = 0.05,
@@ -187,22 +187,20 @@ def sensitivity_analysis(
 ):
     """RQ2: estimator stability under sampling-unit rebinning.
 
-    ``unit_sets_per_trial`` is one sequence of per-unit coverage sets per
-    trial (equal-length campaigns); each requested unit size r must be a
-    multiple of ``base_r`` and is realized by rebinning the same base
-    logs.  Returns one SensitivityVerdict per (method, unit-size pair).
+    ``trials`` is a list of one IncidenceMatrix per trial (equal-length
+    campaigns); each requested unit size r must be a multiple of ``base_r``
+    and is realized by rebinning the same base logs.  Returns one
+    SensitivityVerdict per (method, unit-size pair).
     """
     if len(unit_sizes) < 2:
         raise EvaluationError("need at least two unit sizes")
     for r in unit_sizes:
         if r % base_r:
             raise EvaluationError(f"unit size {r} is not a multiple of base {base_r}")
-    matrices = [build_incidence_matrix(units) for units in unit_sets_per_trial]
-
     per_size = {}
     for r in unit_sizes:
         per_size[r] = {
-            method: _estimates_for_binning(matrices, r // base_r, method, level, seed, **est_kw)
+            method: _estimates_for_binning(trials, r // base_r, method, level, seed, **est_kw)
             for method in methods
         }
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import logging
 import random
+import time
 from dataclasses import dataclass, field
 
-from .codegen import ParserProgram, execute_parser
-from .grammar import Grammar, compute_first_follow
+from .codegen import ParserProgram, covered_ids, execute_parser
+from .grammar import Grammar
 
 log = logging.getLogger(__name__)
 
@@ -173,10 +174,9 @@ def run_campaign(program: ParserProgram, corpus: SeedCorpus, config: CampaignCon
     """Execute exactly budget_n inputs, logging coverage per sampling unit.
 
     Coverage-increasing inputs join the corpus.  Fully deterministic per
-    ``config.trial_seed``.
+    ``config.trial_seed``.  Coverage stays in the executor's int mask form
+    until each unit is decoded once at the end.
     """
-    import time
-
     config.validate()
     rng = random.Random(config.trial_seed)
     budget = config.budget_n
@@ -187,29 +187,30 @@ def run_campaign(program: ParserProgram, corpus: SeedCorpus, config: CampaignCon
     if budget == 0:
         raise CampaignError("budget smaller than one sampling unit")
 
+    step_budget = config.step_budget
     pool = [s for s in corpus.inputs]
     if not pool:
         pool = [b""]
-    seen = set()
+    seen = 0
     units = []
     curve = []
-    unit_cov = set()
+    unit_cov = 0
     t0 = time.perf_counter()
     for i in range(budget):
         seed = pool[rng.randrange(len(pool))]
         candidate = mutate_input(seed, config.policy, rng, pool)
-        result = execute_parser(program, candidate, config.step_budget)
-        unit_cov |= result.covered
-        if not result.covered <= seen:
-            seen |= result.covered
+        cov = execute_parser(program, candidate, step_budget).mask
+        unit_cov |= cov
+        if cov & ~seen:
+            seen |= cov
             pool.append(candidate)
         if (i + 1) % r == 0:
-            units.append(frozenset(unit_cov))
-            curve.append(len(seen))
-            unit_cov = set()
+            units.append(unit_cov)
+            curve.append(seen.bit_count())
+            unit_cov = 0
     elapsed = time.perf_counter() - t0
     return CampaignLog(
-        unit_coverage=tuple(units),
+        unit_coverage=tuple(map(covered_ids, units)),
         discovery_curve=tuple(curve),
         executions_per_second=budget / elapsed if elapsed > 0 else float("inf"),
         final_corpus_size=len(pool),
@@ -244,18 +245,25 @@ def parse_units(text: str):
         if not ln.strip():
             continue
         parts = ln.split()
-        if parts[0] == "t":
-            t = int(parts[1])
-        elif parts[0] == "unit":
-            j = int(parts[1].rstrip(":"))
-            if j != len(units):
+        record = parts[0]
+        if record not in ("t", "unit"):
+            raise CampaignError(f"line {lineno}: unknown record {record!r}")
+        if len(parts) < 2:
+            raise CampaignError(f"line {lineno}: {record!r} record has no value")
+        try:
+            value = int(parts[1] if record == "t" else parts[1].rstrip(":"))
+        except ValueError as exc:
+            what = "t value" if record == "t" else "unit index"
+            raise CampaignError(f"line {lineno}: {what} {parts[1]!r} is not an integer") from exc
+        if record == "t":
+            t = value
+        else:
+            if value != len(units):
                 raise CampaignError(f"line {lineno}: unit records out of order")
             try:
                 units.append(frozenset(int(p) for p in parts[2:]))
             except ValueError as exc:
                 raise CampaignError(f"line {lineno}: non-integer element id") from exc
-        else:
-            raise CampaignError(f"line {lineno}: unknown record {parts[0]!r}")
     if t is None or t != len(units):
         raise CampaignError("unit count does not match the t record")
     return units

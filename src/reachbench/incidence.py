@@ -112,8 +112,23 @@ def rebin(matrix: IncidenceMatrix, m: int) -> IncidenceMatrix:
         log.warning("rebin: dropping %d trailing units (t=%d, m=%d)", matrix.t % m, matrix.t, m)
     s = len(matrix.element_ids)
     w = matrix.w[:, :t_new * m].reshape(s, t_new, m).any(axis=2)
+    return _observed(t_new, matrix.element_ids, w)
+
+
+def head(matrix: IncidenceMatrix, t: int) -> IncidenceMatrix:
+    """The first t units (all of them if t >= matrix.t), as if the campaign
+    had stopped there: the elements they never cover are dropped."""
+    if t < 1:
+        raise IncidenceError("empty campaign log")
+    if t >= matrix.t:
+        return matrix
+    return _observed(t, matrix.element_ids, matrix.w[:, :t])
+
+
+def _observed(t, element_ids, w) -> IncidenceMatrix:
+    """The matrix of 0/1 (or bool) rows ``w`` without its all-zero rows."""
     keep = w.any(axis=1)
-    return IncidenceMatrix(t=t_new, element_ids=tuple(compress(matrix.element_ids, keep)),
+    return IncidenceMatrix(t=t, element_ids=tuple(compress(element_ids, keep)),
                            w=w[keep].view(np.uint8))
 
 

@@ -26,6 +26,7 @@ from reachbench.codegen import (
     _c_name,
     compile_to_parser,
     execute_parser,
+    interpret_parser,
     export_c_source,
 )
 from reachbench.estimators import ALL_METHODS, EstimateWithCI, estimate, point_estimate
@@ -129,8 +130,9 @@ int main(void) {
 
 
 def test_criterion_03_codegen_differential(tmp_path):
-    """Executor vs exported-and-compiled C parser: identical covered sets
-    and verdicts on 10^4 random inputs for each of 5 programs."""
+    """Reference interpreter vs exported-and-compiled C parser: identical
+    covered sets and verdicts on 10^4 random inputs for each of 5 programs;
+    and the generated parser's results equal the interpreter's."""
     for pi in range(5):
         cfg = GenConfig(seed=pi, n_nonterminals=6 + pi, alphabet_size=10,
                         n_dead_branches=2)
@@ -160,15 +162,18 @@ def test_criterion_03_codegen_differential(tmp_path):
                               capture_output=True, check=True)
         lines = proc.stdout.decode().splitlines()
         assert len(lines) == len(inputs)
-        mismatches = 0
+        mismatches = gen_mismatches = 0
         for data, line in zip(inputs, lines):
             parts = line.split()
             c_verdict = "accept" if parts[0] == "A" else "reject"
             c_covered = frozenset(int(x) for x in parts[1:])
-            res = execute_parser(program, data)
+            res = interpret_parser(program, data)
             if res.verdict != c_verdict or res.covered != c_covered:
                 mismatches += 1
+            if execute_parser(program, data) != res:
+                gen_mismatches += 1
         assert mismatches == 0, f"program {pi}: {mismatches} mismatches"
+        assert gen_mismatches == 0, f"program {pi}: {gen_mismatches} generated-parser mismatches"
 
 
 def test_criterion_04_estimator_formula_fixtures():
@@ -329,8 +334,7 @@ def test_criterion_10_rq2_machinery():
     # Part 1: identical data under identical binning is always reliable.
     model = BernoulliProductModel(
         45, (0.7,) * 8 + (0.25,) * 12 + (0.08,) * 15 + (0.02,) * 10, 25)
-    trials = [[set(u) for u in simulate_incidence(model, s).units()]
-              for s in range(6)]
+    trials = [simulate_incidence(model, s) for s in range(6)]
     verdicts = sensitivity_analysis(trials, [1, 1], ALL_METHODS, boot_b=60)
     assert len(verdicts) == len(ALL_METHODS)
     for v in verdicts:
@@ -342,8 +346,7 @@ def test_criterion_10_rq2_machinery():
     # singleton-driven estimators disagree across binnings.
     model = BernoulliProductModel(
         120, (0.5,) * 20 + (0.02,) * 40 + (0.004,) * 60, 128)
-    trials = [[set(u) for u in simulate_incidence(model, 1000 + s).units()]
-              for s in range(50)]
+    trials = [simulate_incidence(model, 1000 + s) for s in range(50)]
     verdicts = sensitivity_analysis(
         trials, [1, 8], ["chao2", "jk1", "jk2", "bootstrap"], boot_b=100)
     unreliable = [v.method for v in verdicts

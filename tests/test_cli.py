@@ -129,6 +129,13 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == EXIT_CONFIG
 
+    def test_malformed_incidence_record_is_config_error(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("incidence v1\nt 1\nunit\n")
+        rc = main(["estimate", "--incidence", str(bad),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == EXIT_CONFIG
+
     def test_infeasible_generator_config_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_nonterminals": 0}))

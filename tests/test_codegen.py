@@ -3,18 +3,22 @@
 import random
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+from reachbench import codegen
 from reachbench.codegen import (
     CompileError,
     GroundTruthMismatch,
     compile_to_parser,
+    covered_ids,
     cyclomatic_complexity,
     element_manifest,
     execute_parser,
     export_c_source,
     ground_truth_elements,
+    interpret_parser,
 )
 from reachbench.grammar import EOI, compute_first_follow
 from reachbench.grammargen import GenConfig, GroundTruthLabel, generate_grammar, label_for
@@ -136,6 +140,76 @@ class TestExecution:
         assert res.steps <= 51
 
 
+def count_interpreter_calls(monkeypatch):
+    """The argument tuples of every later call of ``codegen.interpret_parser``."""
+    calls = []
+    monkeypatch.setattr(codegen, "interpret_parser",
+                        lambda *a: calls.append(a) or interpret_parser(*a))
+    return calls
+
+
+class TestGeneratedParser:
+    """``execute_parser`` runs generated code; ``interpret_parser`` is its oracle."""
+
+    def test_compiled_once_per_program(self, bsearch_grammar):
+        prog = compile_to_parser(bsearch_grammar)
+        assert prog.runner is prog.runner
+
+    def test_covered_ids_decodes_one_byte_per_element(self):
+        assert covered_ids(0) == frozenset()
+        assert covered_ids(1 | 1 << 8 * 300) == {0, 300}
+
+    def test_within_budget_runs_without_interpreter(self, bsearch_grammar, monkeypatch):
+        prog = compile_to_parser(bsearch_grammar)
+        calls = count_interpreter_calls(monkeypatch)
+        for data in (bytes([A, T, B, C, T, D, F, Z]), bytes([A, T, B]), bytes([A, T, 0]),
+                     bytes([A, T, B, C, T, D, F, Z, Z]), b""):
+            assert execute_parser(prog, data) == interpret_parser(prog, data)
+        assert calls == []
+
+    def test_step_budget_falls_back_to_interpreter(self, bsearch_grammar, monkeypatch):
+        prog = compile_to_parser(bsearch_grammar)
+        data = bytes([A] + [T, B, C, T, D] * 100)
+        calls = count_interpreter_calls(monkeypatch)
+        assert execute_parser(prog, data, 50) == interpret_parser(prog, data, 50)
+        assert len(calls) == 1
+        whole = data + bytes([F, Z])
+        steps = interpret_parser(prog, whole).steps
+        # Exact at every budget up to and past the whole parse.
+        for budget in range(1, steps + 2):
+            assert execute_parser(prog, whole, budget) == interpret_parser(prog, whole, budget)
+
+    def test_deep_nesting_falls_back_to_interpreter(self, monkeypatch):
+        # S -> a S b | c, nested beyond the recursion limit.
+        prog = compile_to_parser(mk(["S"], [("S", [A, "S", B]), ("S", [C])], "S"))
+        depth = sys.getrecursionlimit() + 100
+        calls = count_interpreter_calls(monkeypatch)
+        for data in (bytes([A] * depth + [C] + [B] * depth),
+                     bytes([A] * depth + [C] + [B] * (depth - 1) + [A])):
+            assert execute_parser(prog, data) == interpret_parser(prog, data)
+        assert len(calls) == 2
+        assert execute_parser(prog, bytes([A, C, B])) == interpret_parser(prog, bytes([A, C, B]))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_interpreter_on_generated_grammars(self, seed):
+        """Loops, epsilon arms and dead guards; seeds, mutants, random bytes
+        and small step budgets."""
+        g, label = generate_grammar(GenConfig(
+            seed=seed, n_nonterminals=5 + seed, alphabet_size=8 + 2 * seed,
+            recursion_linear=0.4, n_dead_branches=seed % 3, allow_epsilon=seed % 2 == 1))
+        prog = compile_to_parser(g, label)
+        pool = list(generate_seed_corpus(g, 8, 10, seed).inputs)
+        rng = random.Random(seed)
+        for i in range(400):
+            if i % 4 == 0:
+                data = bytes(rng.randrange(256) for _ in range(rng.randrange(10)))
+            else:
+                data = mutate_input(pool[rng.randrange(len(pool))], MutationPolicy(), rng, pool)
+            budget = rng.choice([1, 2, 5, 13, 40, 1_000_000])
+            assert execute_parser(prog, data, budget) == interpret_parser(prog, data, budget)
+
+
 class TestGroundTruth:
     def test_bsearch_everything_reachable(self, bsearch_grammar):
         prog = compile_to_parser(bsearch_grammar)
@@ -236,6 +310,7 @@ class TestCExport:
         return covered, "accept" if proc.returncode == 0 else "reject"
 
     def test_differential_vs_executor(self, bsearch_grammar, tmp_path):
+        """Interpreter, generated parser and C parser agree on seeds and mutants."""
         prog = compile_to_parser(bsearch_grammar)
         binary = self._build(prog, tmp_path)
         corpus = generate_seed_corpus(bsearch_grammar, 5, 10, 0)
@@ -249,10 +324,11 @@ class TestCExport:
                     corpus.inputs[rng.randrange(len(corpus.inputs))],
                     policy, rng, corpus.inputs,
                 )
-            res = execute_parser(prog, data)
+            res = interpret_parser(prog, data)
             c_cov, c_verdict = self._run(binary, data)
             assert c_cov == res.covered
             assert c_verdict == res.verdict
+            assert execute_parser(prog, data) == res
 
     def test_dead_guards_compile_but_never_fire(self, tmp_path):
         g, label = generate_grammar(

@@ -16,7 +16,7 @@ from reachbench.evaluation import (
     sensitivity_analysis,
     simulate_incidence,
 )
-from reachbench.incidence import frequency_counts
+from reachbench.incidence import build_incidence_matrix, frequency_counts
 
 
 def mktrial(i, point, lo=None, hi=None, status="ok"):
@@ -110,7 +110,7 @@ class TestSensitivity:
     def test_identical_saturated_trials_are_reliable(self):
         # Every element in every unit: estimates are S_obs at both binnings,
         # CIs collapse to the point, and the verdict must be reliable.
-        trials = [[frozenset({0, 1, 2})] * 4 for _ in range(3)]
+        trials = [build_incidence_matrix([frozenset({0, 1, 2})] * 4) for _ in range(3)]
         (v,) = sensitivity_analysis(trials, [1, 2], ["chao2"], boot_b=20)
         assert (v.r_a, v.r_b) == (1, 2)
         assert v.mean_a == v.mean_b == 3.0
@@ -119,7 +119,7 @@ class TestSensitivity:
 
     def test_majority_failures_inconclusive(self):
         # Saturated data: zelterman's lambda is undefined (f1 = f2 = 0).
-        trials = [[frozenset({0, 1})] * 4 for _ in range(3)]
+        trials = [build_incidence_matrix([frozenset({0, 1})] * 4) for _ in range(3)]
         (v,) = sensitivity_analysis(trials, [1, 2], ["zelterman"])
         assert v.inconclusive
         assert v.n_failed_a == 3 and v.n_failed_b == 3
@@ -128,8 +128,8 @@ class TestSensitivity:
     def test_one_verdict_per_method_and_size_pair(self):
         rng = np.random.default_rng(0)
         trials = [
-            [frozenset(int(e) for e in rng.choice(20, 5, replace=False))
-             for _ in range(8)]
+            build_incidence_matrix([frozenset(int(e) for e in rng.choice(20, 5, replace=False))
+                                    for _ in range(8)])
             for _ in range(4)
         ]
         verdicts = sensitivity_analysis(trials, [1, 2, 4], ["jk1", "bootstrap"],
@@ -143,7 +143,7 @@ class TestSensitivity:
             assert 0.0 <= v.p_value <= 1.0
 
     def test_unit_size_validation(self):
-        trials = [[frozenset({0})] * 4] * 3
+        trials = [build_incidence_matrix([frozenset({0})] * 4)] * 3
         with pytest.raises(EvaluationError):
             sensitivity_analysis(trials, [2], ["jk1"])
         with pytest.raises(EvaluationError):
@@ -160,7 +160,7 @@ class TestSensitivity:
             for j in range(16):
                 rare = {100 + 16 * len(trials) + j}
                 units.append(frozenset({0, 1} | rare))
-            trials.append(units)
+            trials.append(build_incidence_matrix(units))
         (v,) = sensitivity_analysis(trials, [1, 8], ["jk1"], boot_b=40)
         # f1 dominates at fine binning: jk1 inflates heavily at r=1 only.
         assert abs(v.mean_a - v.mean_b) > 1.0

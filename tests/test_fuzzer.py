@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachbench.codegen import compile_to_parser, execute_parser
+from reachbench.codegen import compile_to_parser, execute_parser, interpret_parser
 from reachbench.fuzzer import (
     CampaignConfig,
     CampaignError,
@@ -134,6 +134,34 @@ class TestCampaign:
                                                         unit_size_r=10))
         assert log.t == 10
 
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_equals_interpreter_loop(self, seed):
+        """The campaign loop on the reference interpreter and frozenset unions."""
+        g, label = generate_grammar(GenConfig(seed=seed, n_nonterminals=10 + seed,
+                                              alphabet_size=24, n_dead_branches=2))
+        prog = compile_to_parser(g, label)
+        corpus = generate_seed_corpus(g, 8, 15, seed)
+        config = CampaignConfig(trial_seed=seed, budget_n=1500, unit_size_r=30)
+        rng = random.Random(config.trial_seed)
+        pool = list(corpus.inputs)
+        seen, unit_cov, units, curve = set(), set(), [], []
+        for i in range(config.budget_n):
+            seed_input = pool[rng.randrange(len(pool))]
+            candidate = mutate_input(seed_input, config.policy, rng, pool)
+            covered = interpret_parser(prog, candidate, config.step_budget).covered
+            unit_cov |= covered
+            if not covered <= seen:
+                seen |= covered
+                pool.append(candidate)
+            if (i + 1) % config.unit_size_r == 0:
+                units.append(frozenset(unit_cov))
+                curve.append(len(seen))
+                unit_cov = set()
+        log = run_campaign(prog, corpus, config)
+        assert log.unit_coverage == tuple(units)
+        assert log.discovery_curve == tuple(curve)
+        assert log.final_corpus_size == len(pool)
+
     def test_zero_unit_budget_rejected(self, small_program):
         g, prog = small_program
         corpus = generate_seed_corpus(g, 5, 15, 1)
@@ -154,6 +182,16 @@ class TestUnitSerialization:
     def test_out_of_order_units_rejected(self):
         with pytest.raises(CampaignError, match="order"):
             parse_units("incidence v1\nt 2\nunit 1: 0\nunit 0: 1\n")
+
+    @pytest.mark.parametrize("text", [
+        "incidence v1\nt\n",
+        "incidence v1\nt 1\nunit\n",
+        "incidence v1\nt x\n",
+        "incidence v1\nt 1\nunit x: 3\n",
+    ])
+    def test_malformed_record_reports_line(self, text):
+        with pytest.raises(CampaignError, match="line"):
+            parse_units(text)
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(CampaignError):

@@ -13,6 +13,7 @@ from reachbench.incidence import (
     build_incidence_matrix,
     frequency_counts,
     from_dense_csv,
+    head,
     rebin,
     saturation_indicator,
     to_dense_csv,
@@ -129,11 +130,22 @@ class TestRebin:
         assert frequency_counts(rebin(fixture_matrix, 5)).s_obs == base
 
 
+class TestHead:
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 9])
+    def test_equals_build_of_leading_units(self, t):
+        assert head(build_incidence_matrix(UNITS), t) == build_incidence_matrix(UNITS[:t])
+
+    def test_empty_prefix_rejected(self):
+        with pytest.raises(IncidenceError):
+            head(build_incidence_matrix(UNITS), 0)
+
+
 def test_every_constructor_matches_build_from_units(fixture_matrix):
     model = BernoulliProductModel(6, (0.5, 0.01, 0.3, 0.9, 0.05, 0.2), 12)
     made = [
         rebin(fixture_matrix, 3),
         rebin(fixture_matrix, 5),
+        head(fixture_matrix, 7),
         simulate_incidence(model, 3),
         from_dense_csv(to_dense_csv(fixture_matrix)),
         from_dense_csv("element_id,u0,u1,u2\n9,0,0,0\n4,0,1,1\n2,1,0,0\n"),
