@@ -17,8 +17,10 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -69,16 +71,33 @@ def _read(path) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write(path, text: str):
+@contextmanager
+def _replacing(path, newline=None):
+    """A text file that replaces ``path`` only once it is completely written.
+
+    It is written under a temporary name in the same directory and moved
+    over ``path`` with ``os.replace``, so a reader or a resumed run sees the
+    old file or the new one, never a torn write.  On an error the temporary
+    file is removed and ``path`` is left as it was.
+    """
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(text, encoding="utf-8")
+    tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, p)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write(path, text: str):
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def _write_csv(path, fields, rows):
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)

@@ -7,6 +7,11 @@ variance, truncated below at the observed richness; everything else (and any
 degenerate case) falls back to a nonparametric bootstrap over sampling
 units.  Degenerate inputs never raise:
 every estimator returns a status of ok, degenerate-fallback, or failed.
+
+The two binomial-mixture NPMLEs are fitted by EM accelerated with SQUAREM
+(a squared extrapolation of two EM steps), with a fallback to the plain EM
+step whenever the extrapolation would lower the objective, so the fit is
+monotone.  Their ``iterations`` diagnostic counts EM steps.
 """
 
 from __future__ import annotations
@@ -205,27 +210,90 @@ def _log_binom_coef(t):
     return np.array([lt - math.lgamma(k + 1) - math.lgamma(t - k + 1) for k in range(t + 1)])
 
 
-def _em(t, ks, fks, log_coef, penalized, cfg):
-    """EM for rows of count vectors that share t and the number of distinct k.
+def _pi_floor(t):
+    """Support floor: detection probabilities below 1/(2t) are not
+    identifiable from t units, and without a floor the unpenalized mixture
+    likelihood drifts mass toward pi -> 0 (unbounded estimate)."""
+    return 1.0 / (2.0 * t)
+
+
+def _em_start(t, ks, fks, log_coef, penalized, cfg):
+    """The per-row constants of ``_em_map`` for a stack, and its start (w, pi).
 
     ``ks`` and ``fks`` are contiguous (rows, width) float arrays holding each
     row's observed frequencies and their counts; ``log_coef`` is
-    ``_log_binom_coef(t)``.  The live rows advance together as one stacked
-    array, but each matrix product is taken per row at that row's own shape,
-    so a row's arithmetic is the same whatever else is in the batch (padding
-    rows to a common width would change the BLAS summation order).  A row is frozen at the iteration where its
-    log-likelihood change drops below ``cfg.tol``, or where its
-    responsibilities turn non-finite (a frequency that no support point can
-    produce).  Returns per-row weights, support, log-likelihood, iterations,
-    last log-likelihood change, and whether the row converged.
+    ``_log_binom_coef(t)``.  Every constant has the rows on its first axis.
     """
     rows, size = ks.shape[0], cfg.grid_size
-    # Support floor: detection probabilities below 1/(2t) are not
-    # identifiable from t units, and without a floor the unpenalized
-    # mixture likelihood drifts mass toward pi -> 0 (unbounded estimate).
-    pi_floor = 1.0 / (2.0 * t)
+    pi_floor = _pi_floor(t)
     grid = np.clip(np.linspace(pi_floor, 1.0 - 1e-12, size), pi_floor, 1.0 - 1e-10)
-    lam = cfg.penalty if penalized else 0.0
+    n = fks.sum(axis=1)
+    n_aug = np.maximum(n - (cfg.penalty if penalized else 0.0), 0.0)
+    data = (log_coef[ks.astype(np.intp)][:, :, None], ks[:, :, None], (t - ks)[:, :, None],
+            fks[:, None, :], (fks * ks)[:, None, :], n, n_aug)
+    return data, np.full((rows, size), 1.0 / size), np.tile(grid, (rows, 1))
+
+
+def _em_map(t, data, w, pis):
+    """One EM step for a stack of rows: the updated (w, pi), and at the input
+    the objective the EM ascends, L = sum_k f_k log mix_k - n_aug log(1 - p0),
+    and the reported zero-truncated log-likelihood (n in place of n_aug).
+
+    Each matrix product is taken per row at that row's own shape, so a row's
+    arithmetic is the same whatever else is in the stack (padding rows to a
+    common width would change the BLAS summation order).
+    """
+    logc, k, tk, fk, fkk, n, n_aug = data
+    log1m = np.log1p(-pis)
+    pmf = np.exp(logc + k * np.log(pis)[:, None, :] + tk * log1m[:, None, :])
+    z0 = np.exp(t * log1m)  # (1-pi)^t
+    mix = np.matmul(pmf, w[:, :, None])[:, :, 0]
+    p0 = np.minimum(np.matmul(z0[:, None, :], w[:, :, None])[:, 0, 0], 1.0 - 1e-12)
+    n0 = n_aug * p0 / (1.0 - p0)
+
+    resp = pmf * w[:, None, :]
+    resp /= resp.sum(axis=2, keepdims=True)
+    resp0 = z0 * w
+    resp0 = np.where(p0[:, None] > 0, resp0 / resp0.sum(axis=1, keepdims=True), 0.0)
+
+    cls_mass = np.matmul(fk, resp)[:, 0, :] + n0[:, None] * resp0
+    cls_inc = np.matmul(fkk, resp)[:, 0, :]
+    w_new = cls_mass / (n + n0)[:, None]
+    pis_new = np.clip(np.where(cls_mass > 0, cls_inc / (t * cls_mass), pis),
+                      _pi_floor(t), 1.0 - 1e-10)
+
+    # A zero mixture density (log-likelihood -inf) is exactly a row of 0/0
+    # responsibilities.
+    fit = np.matmul(fk, np.log(mix)[:, :, None])[:, 0, 0]
+    log_tail = np.log(1.0 - p0)
+    return w_new, pis_new, fit - n_aug * log_tail, fit - n * log_tail
+
+
+def _em(t, ks, fks, log_coef, penalized, cfg):
+    """SQUAREM-accelerated EM for rows of count vectors that share t and the
+    number of distinct k (arguments as for ``_em_start``).
+
+    The live rows advance together as one stacked array through cycles of
+    the monotone SqS3 scheme (Varadhan & Roland 2008, Scand. J. Stat.
+    35:335), every quantity taken per row: two EM steps theta1 = F(theta0)
+    and theta2 = F(theta1); with r = theta1 - theta0 and
+    v = theta2 - 2 theta1 + theta0, the step length
+    alpha = min(-|r|/|v|, -1) (-1 when not finite); an extrapolation to
+    theta0 - 2 alpha r + alpha^2 v, projected back onto the simplex and the
+    support interval; and one stabilising EM step from there, kept only if
+    the objective at the extrapolation is not below the cycle's start
+    (otherwise theta2), so the objective never falls.
+
+    A row is frozen where one cycle raises the objective by less than
+    ``cfg.tol``, or where it turns non-finite (a frequency that no support
+    point can produce).  ``cfg.max_iter`` and the reported iterations count
+    EM steps, three per cycle; a budget too short for a whole cycle and a
+    convergence check after it is spent on plain EM steps.  Returns per-row
+    weights, support, log-likelihood, iterations, last objective change,
+    and whether the row converged.
+    """
+    rows, size = ks.shape[0], cfg.grid_size
+    pi_floor = _pi_floor(t)
     w, pis = np.empty((rows, size)), np.empty((rows, size))
     ll, ll_delta = np.empty(rows), np.empty(rows)
     iterations = np.full(rows, cfg.max_iter)
@@ -233,51 +301,47 @@ def _em(t, ks, fks, log_coef, penalized, cfg):
 
     # Working arrays hold the rows still iterating; ``live`` maps them back.
     live = np.arange(rows)
-    logc = log_coef[ks.astype(np.intp)][:, :, None]
-    k, tk = ks[:, :, None], (t - ks)[:, :, None]
-    fk, fkk = fks[:, None, :], (fks * ks)[:, None, :]
-    n = fks.sum(axis=1)
-    n_aug = np.maximum(n - lam, 0.0)
-    wl, pl = np.full((rows, size), 1.0 / size), np.tile(grid, (rows, 1))
-    ll_prev, step = np.full(rows, -np.inf), np.full(rows, np.nan)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for it in range(1, cfg.max_iter + 1):
-            log1m = np.log1p(-pl)
-            pmf = np.exp(logc + k * np.log(pl)[:, None, :] + tk * log1m[:, None, :])
-            z0 = np.exp(t * log1m)  # (1-pi)^t
-            mix = np.matmul(pmf, wl[:, :, None])[:, :, 0]
-            p0 = np.minimum(np.matmul(z0[:, None, :], wl[:, :, None])[:, 0, 0], 1.0 - 1e-12)
-            n0 = n_aug * p0 / (1.0 - p0)
-
-            resp = pmf * wl[:, None, :]
-            resp /= resp.sum(axis=2, keepdims=True)
-            resp0 = z0 * wl
-            resp0 = np.where(p0[:, None] > 0, resp0 / resp0.sum(axis=1, keepdims=True), 0.0)
-
-            cls_mass = np.matmul(fk, resp)[:, 0, :] + n0[:, None] * resp0
-            cls_inc = np.matmul(fkk, resp)[:, 0, :]
-            wl = cls_mass / (n + n0)[:, None]
-            pl = np.clip(np.where(cls_mass > 0, cls_inc / (t * cls_mass), pl),
-                         pi_floor, 1.0 - 1e-10)
-
-            # A zero mixture density (log-likelihood -inf) is exactly a row of
-            # 0/0 responsibilities.
-            ll_new = np.matmul(fk, np.log(mix)[:, :, None])[:, 0, 0] - n * np.log(1.0 - p0)
-            step = np.abs(ll_new - ll_prev)
-            ll_prev = ll_new
-            finite = np.isfinite(ll_new)
+    data, wl, pl = _em_start(t, ks, fks, log_coef, penalized, cfg)
+    obj_prev, step = np.full(rows, -np.inf), np.full(rows, np.nan)
+    ll_new = np.full(rows, np.nan)
+    evals = 0
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        while evals < cfg.max_iter:
+            # Every convergence check sits at a cycle's start.
+            w1, p1, obj, ll_new = _em_map(t, data, wl, pl)
+            evals += 1
+            step = np.abs(obj - obj_prev)
+            obj_prev = obj
+            finite = np.isfinite(obj)
             stop = (step < cfg.tol) | ~finite
             if stop.any():
                 out = live[stop]
-                w[out], pis[out], ll[out], ll_delta[out] = wl[stop], pl[stop], ll_new[stop], step[stop]
-                iterations[out] = it
+                w[out], pis[out], ll[out], ll_delta[out] = w1[stop], p1[stop], ll_new[stop], step[stop]
+                iterations[out] = evals
                 converged[out] = finite[stop]
                 keep = ~stop
-                live, logc, k, tk, fk, fkk, n, n_aug, wl, pl, ll_prev, step = (
-                    a[keep] for a in (live, logc, k, tk, fk, fkk, n, n_aug, wl, pl, ll_prev, step))
+                live, wl, pl, w1, p1, obj_prev, step, ll_new = (
+                    a[keep] for a in (live, wl, pl, w1, p1, obj_prev, step, ll_new))
+                data = tuple(a[keep] for a in data)
                 if not live.size:
                     break
-    w[live], pis[live], ll[live], ll_delta[live] = wl, pl, ll_prev, step
+            if cfg.max_iter - evals < 3:
+                wl, pl = w1, p1
+                continue
+            w2, p2, _, _ = _em_map(t, data, w1, p1)
+            wr, pr = w1 - wl, p1 - pl
+            wv, pv = w2 - 2.0 * w1 + wl, p2 - 2.0 * p1 + pl
+            alpha = -np.sqrt(((wr * wr).sum(axis=1) + (pr * pr).sum(axis=1))
+                             / ((wv * wv).sum(axis=1) + (pv * pv).sum(axis=1)))
+            alpha = np.where(np.isfinite(alpha), np.minimum(alpha, -1.0), -1.0)[:, None]
+            we = np.maximum(wl - 2.0 * alpha * wr + alpha * alpha * wv, 0.0)
+            we /= we.sum(axis=1, keepdims=True)
+            pe = np.clip(pl - 2.0 * alpha * pr + alpha * alpha * pv, pi_floor, 1.0 - 1e-10)
+            w3, p3, obj_e, _ = _em_map(t, data, we, pe)
+            evals += 2
+            kept = (obj_e >= obj_prev)[:, None]
+            wl, pl = np.where(kept, w3, w2), np.where(kept, p3, p2)
+    w[live], pis[live], ll[live], ll_delta[live] = wl, pl, ll_new, step
     return w, pis, ll, iterations, ll_delta, converged
 
 
@@ -434,7 +498,11 @@ BOOT_EM_CONFIG = EMConfig(grid_size=20, tol=1e-7, max_iter=1000)
 
 def bootstrap_ci(matrix: IncidenceMatrix, method: str, level: float, seed: int = 0,
                  b: int = 500, point: float = None):
-    """Percentile interval from resampling sampling-unit columns with replacement."""
+    """Percentile interval from resampling sampling-unit columns with replacement.
+
+    Returns the bounds, the number of resamples kept, and the number dropped
+    because their estimate failed or was not finite.
+    """
     rng = np.random.default_rng(seed)
     t = matrix.t
     keys = []
@@ -450,14 +518,15 @@ def bootstrap_ci(matrix: IncidenceMatrix, method: str, level: float, seed: int =
                                               em_config=BOOT_EM_CONFIG)))
     values = [p for p, status, _ in map(fits.get, keys)
               if status != "failed" and p is not None and math.isfinite(p)]
+    failed = b - len(values)
     if not values:
-        return float("nan"), float("nan"), 0
+        return float("nan"), float("nan"), 0, failed
     if len(set(values)) == 1:
         v = values[0] if point is None else point
-        return float(v), float(v), len(values)
+        return float(v), float(v), len(values), failed
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(values, [alpha, 1.0 - alpha])
-    return float(lo), float(hi), len(values)
+    return float(lo), float(hi), len(values), failed
 
 
 def estimate(matrix: IncidenceMatrix, method: str, level: float = 0.90, *,
@@ -477,9 +546,10 @@ def estimate(matrix: IncidenceMatrix, method: str, level: float = 0.90, *,
         diagnostics["ci"] = "analytic-normal-truncated"
         diagnostics["variance"] = var
     else:
-        lo, hi, n_ok = bootstrap_ci(matrix, method, level, seed, boot_b, point)
+        lo, hi, n_ok, n_failed = bootstrap_ci(matrix, method, level, seed, boot_b, point)
         diagnostics["ci"] = "unit-bootstrap-percentile"
         diagnostics["bootstrap_resamples"] = n_ok
+        diagnostics["bootstrap_failed"] = n_failed
     lo = min(lo, point)
     hi = max(hi, point)
     return EstimateWithCI(method, point, lo, hi, level, status, diagnostics)

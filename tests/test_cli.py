@@ -9,6 +9,7 @@ import pytest
 from reachbench.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    _write_csv,
     derive_seed,
     main,
 )
@@ -38,6 +39,21 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_interrupted_csv_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "estimates.csv"
+    _write_csv(path, ["method", "point"], [{"method": "jk1", "point": 1.5}])
+    before = path.read_bytes()
+
+    def rows():
+        yield {"method": "chao2", "point": 2.0}
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        _write_csv(path, ["method", "point"], rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["estimates.csv"]
 
 
 def test_stagewise_pipeline(tmp_path):

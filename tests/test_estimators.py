@@ -3,10 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reachbench.estimators as estimators
+from reachbench.cli import derive_seed
 from reachbench.estimators import (
     ALL_METHODS,
     EMConfig,
@@ -15,6 +18,7 @@ from reachbench.estimators import (
     point_estimate,
     point_estimates,
 )
+from reachbench.evaluation import BernoulliProductModel, simulate_incidence
 from reachbench.incidence import FrequencyCounts, build_incidence_matrix, frequency_counts
 
 
@@ -150,16 +154,20 @@ class TestBatchedEM:
     @pytest.mark.parametrize("max_iter", [2, 20])
     def test_nonconverged_row_leaves_neighbours_alone(self, max_iter, fixture_matrix):
         cfg = EMConfig(max_iter=max_iter)
-        # The last two share t and width, so they iterate in one stacked array.
-        rows = [frequency_counts(fixture_matrix), mkcounts(10, {1: 1}), mkcounts(10, {10: 5})]
+        # Rows 1-2 and rows 3-4 each share t and width, so each pair iterates
+        # in one stacked array.
+        rows = [frequency_counts(fixture_matrix), mkcounts(10, {1: 1}), mkcounts(10, {10: 5}),
+                mkcounts(10, {1: 6, 2: 1}), mkcounts(10, {1: 3, 3: 2})]
         batch = self.assert_rows_fit_alone(rows, "unpmle", cfg)
         _, status, diagnostics = batch[0]
         assert status == "failed" and diagnostics["reason"] == "EM did not converge"
         assert diagnostics["iterations"] == max_iter
         assert math.isfinite(diagnostics["ll_delta"]) and diagnostics["ll_delta"] > 0
         if max_iter == 20:
-            assert batch[1][1] == "ok" and batch[1][2]["iterations"] == 5
-            assert batch[2][1] == "failed" and batch[2][2]["iterations"] == 20
+            assert batch[1][1] == "ok" and batch[1][2]["iterations"] == 7
+            assert batch[2][1] == "ok" and batch[2][2]["iterations"] == 10
+            assert batch[3][1] == "ok" and batch[3][2]["iterations"] == 13
+            assert batch[4][1] == "failed" and batch[4][2]["iterations"] == 20
 
     def test_nonfinite_row_fails_without_touching_neighbours(self):
         # With a two-point grid near 0 and 1, no support point can produce
@@ -172,19 +180,95 @@ class TestBatchedEM:
         assert batch[1][2]["reason"] == "EM did not converge"
         assert batch[1][2]["iterations"] == 1
 
-    # Percentile bounds of the batched bootstrap, pinned from the per-resample
-    # EM it replaced (same seed, same resamples).  Not compared exactly: the
+    # Percentile bounds of the batched bootstrap.  Not compared exactly: the
     # BLAS summation order, and so the last bits, vary across CPUs.
     @pytest.mark.parametrize("method,ci_low,ci_high,kept", [
-        ("unpmle", 28.684546554690996, 43.587032139009395, 196),
-        ("pnpmle", 28.61791059616736, 42.671322624104846, 194),
-    ])
+        ("unpmle", 28.676757801229893, 43.55169892640739, 200),
+        ("pnpmle", 28.597847526864253, 42.671315480235975, 199),
+    ], ids=["unpmle", "pnpmle"])
     def test_bootstrap_ci_pinned(self, method, ci_low, ci_high, kept, fixture_matrix):
         res = estimate(fixture_matrix, method, seed=5, boot_b=200)
         assert res.status == "ok"
         assert res.diagnostics["bootstrap_resamples"] == kept
         assert res.ci_low == pytest.approx(ci_low, rel=1e-9)
         assert res.ci_high == pytest.approx(ci_high, rel=1e-9)
+
+
+def heavy_tailed_counts(pi_seed, t, sim_seed):
+    """Frequency counts of t units of a 400-element program whose detection
+    probabilities are clip(exp(N(ln 0.01, 2)), 1e-4, 0.9), drawn from
+    ``default_rng(pi_seed)``: the law of the rq2_wide benchmark workload."""
+    rng = np.random.default_rng(pi_seed)
+    pi = np.clip(np.exp(rng.normal(np.log(0.01), 2.0, 400)), 1e-4, 0.9)
+    model = BernoulliProductModel(400, tuple(float(p) for p in pi), t)
+    return frequency_counts(simulate_incidence(model, sim_seed))
+
+
+class TestSquaremEM:
+    """The SQUAREM-accelerated EM against its own EM map iterated plainly to
+    a tight tolerance, the oracle.  Besides the fixture, two heavy-tailed
+    logs on which the plain EM crawls: 200 units, where it stopped after 721
+    steps, and 100 units, where ``pnpmle`` did not converge in 5000."""
+
+    CASES = {
+        "fixture": None,
+        "wide-200": (1, 200, derive_seed(1, "rq2_wide", 1)),
+        "wide-100": (7, 100, 100),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def counts(self, request, fixture_matrix):
+        case = self.CASES[request.param]
+        return frequency_counts(fixture_matrix) if case is None else heavy_tailed_counts(*case)
+
+    @staticmethod
+    def plain_em_point(c, penalized, tol=1e-12, max_iter=10 ** 5):
+        cfg = EMConfig()
+        ks, fks = np.ascontiguousarray(np.array([sorted(c.f.items())], dtype=float).transpose(2, 0, 1))
+        data, w, pis = estimators._em_start(c.t, ks, fks, estimators._log_binom_coef(c.t),
+                                            penalized, cfg)
+        prev = -np.inf
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for it in range(1, max_iter + 1):
+                w, pis, obj, ll = estimators._em_map(c.t, data, w, pis)
+                if abs(obj[0] - prev) < tol:
+                    break
+                prev = obj[0]
+            else:
+                pytest.fail(f"plain EM did not reach tol {tol} in {max_iter} steps")
+        point, status, _ = estimators._npmle_finish(c, penalized, cfg, w[0], pis[0], ll[0],
+                                                    it, 0.0, True)
+        assert status == "ok"
+        return point
+
+    @pytest.mark.parametrize("method", ["unpmle", "pnpmle"])
+    def test_point_matches_plain_em_fixed_point(self, method, counts):
+        point, status, _ = point_estimate(counts, method)
+        assert status == "ok"
+        assert point == pytest.approx(self.plain_em_point(counts, method == "pnpmle"), rel=1e-4)
+
+    @pytest.mark.parametrize("method", ["unpmle", "pnpmle"])
+    def test_no_kept_cycle_lowers_the_objective(self, method, counts, monkeypatch):
+        objectives = []
+        em_map = estimators._em_map
+
+        def recording(t, data, w, pis):
+            out = em_map(t, data, w, pis)
+            objectives.append(float(out[2][0]))
+            return out
+
+        monkeypatch.setattr(estimators, "_em_map", recording)
+        _, status, diagnostics = point_estimate(counts, method)
+        assert status == "ok" and diagnostics["iterations"] == len(objectives)
+        # A fit alone evaluates the map three times a cycle; the first
+        # evaluation of each cycle is at the point the last cycle kept.
+        starts = np.array(objectives[::3])
+        assert len(objectives) % 3 == 1 and np.all(np.diff(starts) >= 0)
+
+    def test_pnpmle_converges_where_plain_em_did_not(self):
+        _, status, diagnostics = point_estimate(heavy_tailed_counts(*self.CASES["wide-100"]),
+                                                "pnpmle")
+        assert status == "ok" and diagnostics["iterations"] < EMConfig().max_iter
 
 
 class TestDegenerateContract:
@@ -254,7 +338,18 @@ class TestConfidenceIntervals:
         res = estimate(fixture_matrix, "jk1", level=0.90, seed=3, boot_b=200)
         assert res.diagnostics["ci"] == "unit-bootstrap-percentile"
         assert res.diagnostics["bootstrap_resamples"] == 200
+        assert res.diagnostics["bootstrap_failed"] == 0
         assert res.ci_low <= res.point <= res.ci_high
+
+    def test_bootstrap_counts_failed_resamples(self):
+        # f1 = 2 and f2 = 2, but a resample of five units often loses every
+        # doubleton, and Zelterman's lambda is then undefined.
+        units = [frozenset({0, 1, 2}), frozenset({0, 2}), frozenset({1, 3}),
+                 frozenset({2, 4}), frozenset({2})]
+        res = estimate(build_incidence_matrix(units), "zelterman", seed=0, boot_b=100)
+        assert res.status == "ok"
+        assert res.diagnostics["bootstrap_failed"] > 0
+        assert res.diagnostics["bootstrap_resamples"] + res.diagnostics["bootstrap_failed"] == 100
 
     def test_bootstrap_ci_deterministic_per_seed(self, fixture_matrix):
         a = estimate(fixture_matrix, "jk2", seed=11, boot_b=100)
