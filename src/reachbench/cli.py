@@ -30,8 +30,8 @@ from .codegen import (
     element_manifest,
     export_c_source,
 )
-from .estimators import ALL_METHODS, estimate_all
-from .evaluation import rq1_report, sensitivity_analysis
+from .estimators import ALL_METHODS, check_level, estimate_all
+from .evaluation import check_alpha, rq1_report, sensitivity_analysis
 from .fuzzer import (
     CampaignConfig,
     MutationPolicy,
@@ -363,11 +363,13 @@ def run_experiment(config: dict, out_dir) -> int:
     """Generate -> compile -> fuzz -> estimate -> evaluate -> sensitivity."""
     cfg = dict(DEFAULT_EXPERIMENT)
     cfg.update(config)
+    level = cfg["ci_level"]
+    check_level(level)
+    check_alpha(cfg["alpha"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     master = cfg["master_seed"]
     methods = ALL_METHODS if cfg["estimators"] == "all" else tuple(cfg["estimators"])
-    level = cfg["ci_level"]
     timings = {}
     manifest = {"version": __version__, "config": cfg, "stages": {}, "artifacts": {}}
     cfg_digest = hashlib.sha256(

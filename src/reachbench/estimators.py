@@ -8,15 +8,29 @@ degenerate case) falls back to a nonparametric bootstrap over sampling
 units.  Degenerate inputs never raise:
 every estimator returns a status of ok, degenerate-fallback, or failed.
 
+The ten closed forms are each written once, over arrays: they score a batch
+of count vectors that share t, one per row, and a single count vector is a
+batch of one.  The unit bootstrap draws the units of a block of resamples in
+one call, turns them into a (resamples x t) multiplicity matrix, and takes
+every resample's incidence frequencies Y as that matrix times W transposed,
+in float64 (integer sums below 2^53, so exact in any summation order).  A
+closed form then scores the whole block at once.  Each formula keeps the
+operation order of its scalar form, and the bootstrap estimator's sum is a
+sequential cumsum, as Python's sum was.  Its (1 - k/t)^t terms and
+Zelterman's exp come from ``math``: numpy's vectorized power and exp differ
+from libm in the last bit on some inputs, which would change results.
+
 The two binomial-mixture NPMLEs are fitted by EM accelerated with SQUAREM
 (a squared extrapolation of two EM steps), with a fallback to the plain EM
 step whenever the extrapolation would lower the objective, so the fit is
-monotone.  Their ``iterations`` diagnostic counts EM steps.
+monotone.  Their ``iterations`` diagnostic counts EM steps.  The bootstrap
+fits each distinct resample once, all of them in one batched EM.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,126 +84,167 @@ def _failed(method, level, reason):
 
 
 # ---------------------------------------------------------------------------
-# Point estimators (pure functions of FrequencyCounts).
-# Each returns (point, status, diagnostics).
+# Closed-form point estimators, each scored on a batch of count vectors that
+# share t.  Each returns (point, status, diagnostics): a float array with NaN
+# on failed rows, a str array of statuses, and a function of a row index that
+# builds that row's diagnostics dict.  Every formula works row by row, in the
+# operation order of the scalar form it replaced: a row's value does not
+# depend on its batch, and equals the scalar form's to the last bit.
 # ---------------------------------------------------------------------------
 
-def _chao2(c: FrequencyCounts):
-    t, s, f1, f2 = c.t, c.s_obs, c.fk(1), c.fk(2)
+@dataclass(frozen=True)
+class _Rows:
+    """The frequency data of count vectors that share t, one per row."""
+
+    t: int
+    y: np.ndarray  # (rows, width) int64 incidence frequencies; 0 marks no element
+    f: np.ndarray  # (rows, max(t, 10) + 1) int64; f[:, k] = f_k (f[:, 0] counts the 0s)
+    s: np.ndarray  # (rows,) observed richness
+
+
+def _rows(t, y):
+    """_Rows of the int64 incidence frequencies ``y`` (one row per vector)."""
+    rows, width = y.shape
+    cols = max(t, 10) + 1
+    f = np.bincount((y + cols * np.arange(rows)[:, None]).ravel(),
+                    minlength=rows * cols).reshape(rows, cols)
+    return _Rows(t, y, f, width - f[:, 0])
+
+
+def _all_failed(x: _Rows, reason):
+    rows = len(x.s)
+    return np.full(rows, np.nan), np.full(rows, "failed"), lambda i: {"reason": reason}
+
+
+def _ok(x: _Rows):
+    return np.full(len(x.s), "ok")
+
+
+def _chao2(x: _Rows):
+    t, s, f1, f2 = x.t, x.s, x.f[:, 1], x.f[:, 2]
     a = (t - 1) / t
-    if f1 == 0:
-        return float(s), "ok", {"form": "no-singletons"}
-    if f2 > 0:
-        return s + a * f1 * f1 / (2 * f2), "ok", {"form": "classic"}
-    return s + a * f1 * (f1 - 1) / 2.0, "ok", {"form": "f2-zero"}
+    point = np.where(f1 == 0, s, np.where(f2 > 0, s + a * f1 * f1 / (2 * f2),
+                                          s + a * f1 * (f1 - 1) / 2.0))
+    form = np.where(f1 == 0, "no-singletons", np.where(f2 > 0, "classic", "f2-zero"))
+    return point, _ok(x), lambda i: {"form": str(form[i])}
 
 
-def _chao2_bc(c: FrequencyCounts):
-    t, s, f1, f2 = c.t, c.s_obs, c.fk(1), c.fk(2)
+def _chao2_bc(x: _Rows):
+    t, f1, f2 = x.t, x.f[:, 1], x.f[:, 2]
     a = (t - 1) / t
-    return s + a * f1 * (f1 - 1) / (2.0 * (f2 + 1)), "ok", {}
+    return x.s + a * f1 * (f1 - 1) / (2.0 * (f2 + 1)), _ok(x), lambda i: {}
 
 
-def _ichao2(c: FrequencyCounts):
-    t = c.t
+def _ichao2(x: _Rows):
+    t = x.t
     if t < 4:
-        return None, "failed", {"reason": "iChao2 requires t >= 4"}
-    base, _, _ = _chao2(c)
-    f1, f2, f3, f4 = c.fk(1), c.fk(2), c.fk(3), c.fk(4)
-    diagnostics = {}
-    if f4 == 0:
-        f4 = 1
-        diagnostics["f4_substituted"] = True
-    if f3 == 0:
-        return base, "ok", diagnostics
-    extra = ((t - 3) / (4.0 * t)) * (f3 / f4) * max(
+        return _all_failed(x, "iChao2 requires t >= 4")
+    base, _, _ = _chao2(x)
+    f1, f2, f3, f4 = (x.f[:, k] for k in (1, 2, 3, 4))
+    substituted = f4 == 0
+    f4 = np.where(substituted, 1, f4)
+    # Where f3 = 0 the extra term is exactly 0.
+    extra = ((t - 3) / (4.0 * t)) * (f3 / f4) * np.maximum(
         f1 - ((t - 3) / (2.0 * (t - 1))) * f2 * f3 / f4, 0.0
     )
-    return base + extra, "ok", diagnostics
+    return base + extra, _ok(x), lambda i: {"f4_substituted": True} if substituted[i] else {}
 
 
-def _jk1(c: FrequencyCounts):
-    t = c.t
-    return c.s_obs + c.fk(1) * (t - 1) / t, "ok", {}
+def _jk1(x: _Rows):
+    t = x.t
+    return x.s + x.f[:, 1] * (t - 1) / t, _ok(x), lambda i: {}
 
 
-def _jk2(c: FrequencyCounts):
-    t = c.t
-    if t < 2:
-        return None, "failed", {"reason": "JK2 requires t >= 2"}
-    return (
-        c.s_obs
-        + c.fk(1) * (2 * t - 3) / t
-        - c.fk(2) * (t - 2) ** 2 / (t * (t - 1)),
-        "ok",
-        {},
-    )
+def _jk2(x: _Rows):
+    t, f1, f2 = x.t, x.f[:, 1], x.f[:, 2]
+    return (x.s + f1 * (2 * t - 3) / t - f2 * (t - 2) ** 2 / (t * (t - 1)),
+            _ok(x), lambda i: {})
 
 
-def _ice(c: FrequencyCounts, bias_corrected_cv=False):
-    t = c.t
-    cutoff = 10  # elements seen in more units than this count as frequent
-    f = c.f
-    s_inf = sum(fk for k, fk in f.items() if k <= cutoff)
-    s_freq = c.s_obs - s_inf
-    u = sum(k * fk for k, fk in f.items() if k <= cutoff)
-    f1 = c.fk(1)
-    if s_inf == 0 or u == 0:
-        return float(c.s_obs), "degenerate-fallback", {"reason": "no infrequent elements"}
+def _ice(x: _Rows, bias_corrected_cv=False):
+    t, s, f1 = x.t, x.s, x.f[:, 1]
+    k = np.arange(1, 11)  # elements seen in more than 10 units count as frequent
+    infrequent = x.f[:, 1:11]
+    s_inf = infrequent.sum(axis=1)
+    u = infrequent @ k
+    sum_kk1 = infrequent @ (k * (k - 1))
     cov = 1.0 - f1 / u
-    if cov <= 0.0:
-        # All infrequent elements are singletons: standard practice is Chao2.
-        point, _, _ = _chao2(c)
-        return point, "degenerate-fallback", {"reason": "zero sample coverage, chao2 fallback"}
-    sum_kk1 = sum(k * (k - 1) * fk for k, fk in f.items() if k <= cutoff)
-    if t > 1:
-        gamma2 = max(
-            (s_inf / cov) * (t / (t - 1.0)) * sum_kk1 / (u * u) - 1.0, 0.0
-        )
-    else:
-        gamma2 = 0.0
-    diagnostics = {"coverage": cov, "cv2": gamma2, "t_star": t}
+    # t >= 2 here, and u > 1 wherever cov > 0.
+    cv2 = gamma2 = np.maximum((s_inf / cov) * (t / (t - 1.0)) * sum_kk1 / (u * u) - 1.0, 0.0)
     if bias_corrected_cv:
-        if u > 1 and t > 1:
-            gamma2 = max(
-                gamma2
-                * (1.0 + (f1 / cov) * (t / (t - 1.0)) * sum_kk1 / (u * (u - 1.0))),
-                0.0,
-            )
-        diagnostics["cv2_corrected"] = gamma2
-    point = s_freq + s_inf / cov + (f1 / cov) * gamma2
-    return point, "ok", diagnostics
+        gamma2 = np.maximum(
+            gamma2 * (1.0 + (f1 / cov) * (t / (t - 1.0)) * sum_kk1 / (u * (u - 1.0))), 0.0
+        )
+    no_infrequent = (s_inf == 0) | (u == 0)
+    # All infrequent elements are singletons: standard practice is Chao2.
+    no_coverage = ~no_infrequent & (cov <= 0.0)
+    point = np.where(no_infrequent, s, np.where(no_coverage, _chao2(x)[0],
+                                                (s - s_inf) + s_inf / cov + (f1 / cov) * gamma2))
+    status = np.where(no_infrequent | no_coverage, "degenerate-fallback", "ok")
+
+    def diagnostics(i):
+        if no_infrequent[i]:
+            return {"reason": "no infrequent elements"}
+        if no_coverage[i]:
+            return {"reason": "zero sample coverage, chao2 fallback"}
+        d = {"coverage": float(cov[i]), "cv2": float(cv2[i]), "t_star": t}
+        if bias_corrected_cv:
+            d["cv2_corrected"] = float(gamma2[i])
+        return d
+
+    return point, status, diagnostics
 
 
-def _zelterman(c: FrequencyCounts):
-    f1, f2 = c.fk(1), c.fk(2)
-    if f1 == 0 or f2 == 0:
-        return None, "failed", {"reason": "lambda undefined (f1 or f2 is zero)"}
+def _zelterman(x: _Rows):
+    f1, f2 = x.f[:, 1], x.f[:, 2]
+    ok = (f1 > 0) & (f2 > 0)
     lam = 2.0 * f2 / f1
-    return c.s_obs / (1.0 - math.exp(-lam)), "ok", {"lambda": lam}
+    point = np.full(len(f1), np.nan)
+    # libm's exp, as in the scalar form: numpy's vectorized exp can differ
+    # from it in the last bit.
+    point[ok] = x.s[ok] / (1.0 - np.array([math.exp(-v) for v in lam[ok].tolist()]))
+
+    def diagnostics(i):
+        if ok[i]:
+            return {"lambda": float(lam[i])}
+        return {"reason": "lambda undefined (f1 or f2 is zero)"}
+
+    return point, np.where(ok, "ok", "failed"), diagnostics
 
 
-def _bootstrap_point(c: FrequencyCounts):
-    t = c.t
-    extra = sum((1.0 - yi / t) ** t for yi in c.y)
-    return c.s_obs + extra, "ok", {}
+def _bootstrap_point(x: _Rows):
+    t = x.t
+    # (1 - k/t)^t from libm for each k present; a 0 (no element) adds 0.
+    ks = np.flatnonzero(x.f[:, 1:t + 1].any(axis=0)) + 1
+    missed = np.zeros(t + 1)
+    missed[ks] = [(1.0 - k / t) ** t for k in ks.tolist()]
+    terms = missed[x.y]
+    # A sequential sum, as Python's sum in row order; numpy's sum is pairwise.
+    extra = np.cumsum(terms, axis=1)[:, -1] if terms.shape[1] else np.zeros(len(terms))
+    return x.s + extra, _ok(x), lambda i: {}
 
 
-def _chao_bunge(c: FrequencyCounts):
-    f = c.f
-    f1 = c.fk(1)
-    denom = sum(k * fk for k, fk in f.items())
-    if denom == 0:
-        return None, "failed", {"reason": "no incidences"}
-    if f1 == 0:
-        return float(sum(fk for k, fk in f.items() if k >= 2)), "ok", {"theta": 0.0}
-    theta = f1 * sum(k * k * fk for k, fk in f.items()) / (denom * denom)
-    if theta >= 1.0:
-        return None, "failed", {"reason": f"theta {theta:.4f} >= 1"}
-    point = sum(fk for k, fk in f.items() if k >= 2) / (1.0 - theta)
-    if point < c.s_obs:
-        return float(c.s_obs), "degenerate-fallback", {"theta": theta, "clamped": True}
-    return point, "ok", {"theta": theta}
+def _chao_bunge(x: _Rows):
+    s, f1 = x.s, x.f[:, 1]
+    n = x.y.sum(axis=1)  # total incidence
+    theta = f1 * (x.y * x.y).sum(axis=1) / (n * n)
+    point = (s - f1) / (1.0 - theta)
+    failed = (n == 0) | (theta >= 1.0)
+    clamped = ~failed & (point < s)
+    point = np.where(failed, np.nan, np.where(clamped, s, point))
+    status = np.where(failed, "failed", np.where(clamped, "degenerate-fallback", "ok"))
+
+    def diagnostics(i):
+        if n[i] == 0:
+            return {"reason": "no incidences"}
+        if failed[i]:
+            return {"reason": f"theta {theta[i]:.4f} >= 1"}
+        d = {"theta": float(theta[i])}
+        if clamped[i]:
+            d["clamped"] = True
+        return d
+
+    return point, status, diagnostics
 
 
 _CLOSED_FORMS = {
@@ -198,10 +253,27 @@ _CLOSED_FORMS = {
     "ichao2": _ichao2,
     "jk1": _jk1,
     "jk2": _jk2,
+    "ice": _ice,
+    "ice1": lambda x: _ice(x, bias_corrected_cv=True),
     "zelterman": _zelterman,
     "bootstrap": _bootstrap_point,
     "chao_bunge": _chao_bunge,
 }
+
+
+def _closed_form(x: _Rows, method):
+    """(point, status, diagnostics) of a closed-form method on every row."""
+    if x.t < 2:
+        return _all_failed(x, "need at least 2 sampling units")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _CLOSED_FORMS[method](x)
+
+
+def _row(scored, i):
+    """Row i of a scored batch, as (point or None, status, diagnostics)."""
+    point, status, diagnostics = scored
+    status = str(status[i])
+    return (None if status == "failed" else float(point[i])), status, diagnostics(i)
 
 
 def _log_binom_coef(t):
@@ -425,21 +497,22 @@ def point_estimates(counts_list, method: str, *, em_config: EMConfig = None):
     """point_estimate for each count vector in ``counts_list``.
 
     The NPMLE methods fit all the vectors in one batched EM; each result is
-    the same as fitting that vector alone.
+    the same as fitting that vector alone.  A closed form scores each vector
+    as a batch of one.
     """
     if method not in ALL_METHODS:
         raise ValueError(f"unknown estimator {method!r}")
+    if method not in ("unpmle", "pnpmle"):
+        return [_row(_closed_form(_rows(c.t, np.array(c.y, dtype=np.int64).reshape(1, -1)),
+                                  method), 0)
+                for c in counts_list]
     results = [None] * len(counts_list)
     mixture = []
     for i, counts in enumerate(counts_list):
         if counts.t < 2:
             results[i] = (None, "failed", {"reason": "need at least 2 sampling units"})
-        elif method in ("unpmle", "pnpmle"):
-            mixture.append(i)
-        elif method in ("ice", "ice1"):
-            results[i] = _ice(counts, method == "ice1")
         else:
-            results[i] = _CLOSED_FORMS[method](counts)
+            mixture.append(i)
     fits = _npmle([counts_list[i] for i in mixture], method == "pnpmle", em_config or EMConfig())
     for i, fit in zip(mixture, fits):
         results[i] = fit
@@ -450,8 +523,15 @@ def point_estimates(counts_list, method: str, *, em_config: EMConfig = None):
 # Confidence intervals
 # ---------------------------------------------------------------------------
 
-def _chao_type_variance(c: FrequencyCounts, method: str):
-    """Classical asymptotic variance for Chao2 / Chao2_bc; None when undefined."""
+def check_level(level):
+    """Reject a CI level outside [0, 1); level 0 asks for point intervals."""
+    if not isinstance(level, numbers.Real) or not 0.0 <= level < 1.0:
+        raise ValueError(f"CI level must lie in [0, 1), got {level}")
+
+
+def _chao_type_variance(c: FrequencyCounts, method: str, point: float):
+    """Classical asymptotic variance for Chao2 / Chao2_bc at their ``point``;
+    None when undefined."""
     t, f1, f2 = c.t, c.fk(1), c.fk(2)
     a = (t - 1) / t
     if method == "chao2":
@@ -460,7 +540,6 @@ def _chao_type_variance(c: FrequencyCounts, method: str):
         if f2 > 0:
             r = f1 / f2
             return f2 * (0.5 * a * r ** 2 + a ** 2 * r ** 3 + 0.25 * a ** 2 * r ** 4)
-        point, _, _ = _chao2(c)
         if point <= 0:
             return None
         return (
@@ -495,33 +574,65 @@ def _normal_ci(point, s_obs, var, level):
 #: Faster EM settings for the inner loop of bootstrap resampling.
 BOOT_EM_CONFIG = EMConfig(grid_size=20, tol=1e-7, max_iter=1000)
 
+#: Entries of the (resamples x t) multiplicity matrix drawn and scored at a
+#: time (at least one resample).  It bounds the bootstrap's working set to a
+#: few arrays of 128 KiB besides the float64 copy of W; larger blocks raised
+#: the peak memory of whole runs and were no faster.
+_BOOT_BLOCK = 1 << 14
+
+
+def _resampled_y(rng, wt, n):
+    """The sorted incidence frequencies of n unit resamples of the matrix
+    whose transposed W is ``wt`` (float64, t x S): one (n, S) int64 array."""
+    t = wt.shape[0]
+    draws = rng.integers(0, t, size=(n, t))
+    draws += t * np.arange(n)[:, None]
+    mult = np.bincount(draws.ravel(), minlength=n * t).reshape(n, t).astype(np.float64)
+    # Integer products and sums below 2^53: exact in any summation order.
+    return np.sort((mult @ wt).astype(np.int64), axis=1)
+
 
 def bootstrap_ci(matrix: IncidenceMatrix, method: str, level: float, seed: int = 0,
                  b: int = 500, point: float = None):
     """Percentile interval from resampling sampling-unit columns with replacement.
 
-    Returns the bounds, the number of resamples kept, and the number dropped
-    because their estimate failed or was not finite.
+    Resample r draws its t units as the r-th run of t values from
+    ``default_rng(seed)``; the resamples are drawn and scored in blocks,
+    each drawn in one call, which reads the same stream.  Returns the bounds,
+    the number of resamples kept, and the number dropped because their
+    estimate failed or was not finite.
     """
+    if method not in ALL_METHODS:
+        raise ValueError(f"unknown estimator {method!r}")
     rng = np.random.default_rng(seed)
-    t = matrix.t
-    keys = []
-    distinct = {}  # identical resampled counts recur often on saturated data
-    for _ in range(b):
-        y = matrix.w[:, rng.integers(0, t, size=t)].sum(axis=1)
-        y = np.sort(y[y > 0])
-        key = y.tobytes()  # the sorted Y determine the f_k and vice versa
-        if key not in distinct:
-            distinct[key] = counts_from_y(t, y)
-        keys.append(key)
-    fits = dict(zip(distinct, point_estimates(list(distinct.values()), method,
-                                              em_config=BOOT_EM_CONFIG)))
-    values = [p for p, status, _ in map(fits.get, keys)
-              if status != "failed" and p is not None and math.isfinite(p)]
+    s, t = matrix.w.shape
+    wt = matrix.w.T.astype(np.float64)
+    step = max(1, _BOOT_BLOCK // max(t, s))
+    values = np.empty(b)
+    mixture = method in ("unpmle", "pnpmle")
+    distinct, index, inverse = [], {}, []
+    for start in range(0, b, step):
+        y = _resampled_y(rng, wt, min(step, b - start))
+        if not mixture:
+            values[start:start + len(y)] = _closed_form(_rows(t, y), method)[0]
+            continue
+        # Each distinct resample is fitted once: identical resampled counts
+        # recur often on saturated data.
+        for row in y:
+            row = row[row > 0]
+            key = row.tobytes()  # the sorted Y determine the f_k and vice versa
+            if key not in index:
+                index[key] = len(distinct)
+                distinct.append(counts_from_y(t, row))
+            inverse.append(index[key])
+    if mixture:
+        fits = point_estimates(distinct, method, em_config=BOOT_EM_CONFIG)
+        values = np.array([np.nan if p is None else p for p, _, _ in fits])[inverse]
+    values = values[np.isfinite(values)]
     failed = b - len(values)
-    if not values:
+    if not len(values):
         return float("nan"), float("nan"), 0, failed
-    if len(set(values)) == 1:
+    if (values == values[0]).all():
         v = values[0] if point is None else point
         return float(v), float(v), len(values), failed
     alpha = (1.0 - level) / 2.0
@@ -532,15 +643,17 @@ def bootstrap_ci(matrix: IncidenceMatrix, method: str, level: float, seed: int =
 def estimate(matrix: IncidenceMatrix, method: str, level: float = 0.90, *,
              seed: int = 0, boot_b: int = 500) -> EstimateWithCI:
     """Point estimate plus CI for one method on an incidence matrix."""
+    check_level(level)
     counts = frequency_counts(matrix)
     point, status, diagnostics = point_estimate(counts, method)
     if status == "failed":
         return _failed(method, level, diagnostics.get("reason", "failed"))
     diagnostics = dict(diagnostics)
-    if level <= 0.0:
+    if level == 0.0:
         diagnostics["ci"] = "point"
         return EstimateWithCI(method, point, point, point, level, status, diagnostics)
-    var = _chao_type_variance(counts, method) if method in ANALYTIC_CI_METHODS else None
+    var = (_chao_type_variance(counts, method, point) if method in ANALYTIC_CI_METHODS
+           else None)
     if var is not None:
         lo, hi = _normal_ci(point, counts.s_obs, var, level)
         diagnostics["ci"] = "analytic-normal-truncated"

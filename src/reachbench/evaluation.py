@@ -12,6 +12,7 @@ CI cross-containment check.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,6 +158,12 @@ class SensitivityVerdict:
     n_failed_b: int = 0
 
 
+def check_alpha(alpha):
+    """Reject a significance level outside (0, 1)."""
+    if not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
+        raise EvaluationError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def _is_normal(sample, alpha):
     if len(set(sample)) == 1:
         return False  # constant: Shapiro undefined; treat as non-normal
@@ -194,6 +201,9 @@ def sensitivity_analysis(
     """
     if len(unit_sizes) < 2:
         raise EvaluationError("need at least two unit sizes")
+    check_alpha(alpha)
+    if base_r < 1 or min(unit_sizes) < 1:
+        raise EvaluationError("unit size must be >= 1")
     for r in unit_sizes:
         if r % base_r:
             raise EvaluationError(f"unit size {r} is not a multiple of base {base_r}")

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import logging
+import shutil
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,10 @@ from reachbench.cli import (
     main,
 )
 from reachbench.fuzzer import parse_units
+
+from conftest import DATA_DIR
+
+FIXTURE_LOG = DATA_DIR / "fixture_incidence.txt"
 
 TINY_RUN = {
     "master_seed": 5,
@@ -163,6 +169,55 @@ class TestExitCodes:
         rc = main(["sensitivity", "--logs", str(tmp_path), "--unit-sizes", "1,2",
                    "--out", str(tmp_path / "v.csv")])
         assert rc == EXIT_CONFIG
+
+    @staticmethod
+    def assert_one_line_error(caplog, message):
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == [message]
+        assert errors[0].exc_info is None  # no traceback
+
+    @pytest.mark.parametrize("level", ["1.0", "-0.2", "1.5", "nan"])
+    def test_ci_level_outside_unit_interval_is_config_error(self, tmp_path, caplog, level):
+        out = tmp_path / "o.csv"
+        rc = main(["estimate", "--incidence", str(FIXTURE_LOG), "--level", level,
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG and not out.exists()
+        self.assert_one_line_error(caplog, f"CI level must lie in [0, 1), got {float(level)}")
+
+    @pytest.fixture
+    def logs(self, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        shutil.copy(FIXTURE_LOG, logs / "trial000.units.txt")
+        return logs
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--unit-sizes", "0,5"], "unit size must be >= 1"),
+        (["--unit-sizes", "5,-5"], "unit size must be >= 1"),
+        (["--unit-sizes", "1,2", "--level", "1.0"], "CI level must lie in [0, 1), got 1.0"),
+        (["--unit-sizes", "1,2", "--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
+        (["--unit-sizes", "1,2", "--alpha", "1.0"], "alpha must lie in (0, 1), got 1.0"),
+    ], ids=["unit-size-0", "unit-size-negative", "level-1", "alpha-0", "alpha-1"])
+    def test_bad_sensitivity_settings_are_config_errors(self, tmp_path, caplog, logs, flags,
+                                                        message):
+        rc = main(["sensitivity", "--logs", str(logs), *flags, "--methods", "jk1",
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == EXIT_CONFIG
+        self.assert_one_line_error(caplog, message)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("ci_level", 1.0, "CI level must lie in [0, 1), got 1.0"),
+        ("ci_level", "0.9", "CI level must lie in [0, 1), got 0.9"),
+        ("alpha", 0.0, "alpha must lie in (0, 1), got 0.0"),
+    ])
+    def test_bad_run_levels_are_config_errors_before_any_work(self, tmp_path, caplog, key,
+                                                              value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        self.assert_one_line_error(caplog, message)
 
 
 class TestRun:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,15 @@ from reachbench.estimators import (
     point_estimates,
 )
 from reachbench.evaluation import BernoulliProductModel, simulate_incidence
-from reachbench.incidence import FrequencyCounts, build_incidence_matrix, frequency_counts
+from reachbench.incidence import (
+    FrequencyCounts,
+    IncidenceMatrix,
+    build_incidence_matrix,
+    counts_from_y,
+    frequency_counts,
+)
+
+import reference_estimators as ref
 
 
 def mkcounts(t, f):
@@ -374,9 +384,289 @@ class TestConfidenceIntervals:
             assert r.ci_low <= r.point <= r.ci_high
 
 
+def scalar_point(c, method):
+    """The closed forms one count vector at a time, as Python scalars: the
+    exact oracle of the array forms.  Returns (point, status, diagnostics)."""
+    t, s, f = c.t, c.s_obs, c.f
+    f1, f2, f3, f4 = (c.fk(k) for k in (1, 2, 3, 4))
+    a = (t - 1) / t
+    if t < 2:
+        return None, "failed", {"reason": "need at least 2 sampling units"}
+    if method == "chao2":
+        if f1 == 0:
+            return float(s), "ok", {"form": "no-singletons"}
+        if f2 > 0:
+            return s + a * f1 * f1 / (2 * f2), "ok", {"form": "classic"}
+        return s + a * f1 * (f1 - 1) / 2.0, "ok", {"form": "f2-zero"}
+    if method == "chao2_bc":
+        return s + a * f1 * (f1 - 1) / (2.0 * (f2 + 1)), "ok", {}
+    if method == "ichao2":
+        if t < 4:
+            return None, "failed", {"reason": "iChao2 requires t >= 4"}
+        base = scalar_point(c, "chao2")[0]
+        diagnostics = {}
+        if f4 == 0:
+            f4 = 1
+            diagnostics["f4_substituted"] = True
+        if f3 == 0:
+            return base, "ok", diagnostics
+        extra = ((t - 3) / (4.0 * t)) * (f3 / f4) * max(
+            f1 - ((t - 3) / (2.0 * (t - 1))) * f2 * f3 / f4, 0.0)
+        return base + extra, "ok", diagnostics
+    if method == "jk1":
+        return s + f1 * (t - 1) / t, "ok", {}
+    if method == "jk2":
+        return s + f1 * (2 * t - 3) / t - f2 * (t - 2) ** 2 / (t * (t - 1)), "ok", {}
+    if method in ("ice", "ice1"):
+        s_inf = sum(fk for k, fk in f.items() if k <= 10)
+        u = sum(k * fk for k, fk in f.items() if k <= 10)
+        if s_inf == 0 or u == 0:
+            return float(s), "degenerate-fallback", {"reason": "no infrequent elements"}
+        cov = 1.0 - f1 / u
+        if cov <= 0.0:
+            return (scalar_point(c, "chao2")[0], "degenerate-fallback",
+                    {"reason": "zero sample coverage, chao2 fallback"})
+        sum_kk1 = sum(k * (k - 1) * fk for k, fk in f.items() if k <= 10)
+        gamma2 = max((s_inf / cov) * (t / (t - 1.0)) * sum_kk1 / (u * u) - 1.0, 0.0)
+        diagnostics = {"coverage": cov, "cv2": gamma2, "t_star": t}
+        if method == "ice1":
+            gamma2 = max(gamma2 * (1.0 + (f1 / cov) * (t / (t - 1.0)) * sum_kk1
+                                   / (u * (u - 1.0))), 0.0)
+            diagnostics["cv2_corrected"] = gamma2
+        return (s - s_inf) + s_inf / cov + (f1 / cov) * gamma2, "ok", diagnostics
+    if method == "zelterman":
+        if f1 == 0 or f2 == 0:
+            return None, "failed", {"reason": "lambda undefined (f1 or f2 is zero)"}
+        lam = 2.0 * f2 / f1
+        return s / (1.0 - math.exp(-lam)), "ok", {"lambda": lam}
+    if method == "bootstrap":
+        return s + sum((1.0 - yi / t) ** t for yi in c.y), "ok", {}
+    assert method == "chao_bunge"
+    n = sum(k * fk for k, fk in f.items())
+    if n == 0:
+        return None, "failed", {"reason": "no incidences"}
+    theta = f1 * sum(k * k * fk for k, fk in f.items()) / (n * n)
+    if theta >= 1.0:
+        return None, "failed", {"reason": f"theta {theta:.4f} >= 1"}
+    point = (s - f1) / (1.0 - theta)
+    if point < s:
+        return float(s), "degenerate-fallback", {"theta": theta, "clamped": True}
+    return point, "ok", {"theta": theta}
+
+
+CLOSED_FORMS = [m for m in ALL_METHODS if m not in ("unpmle", "pnpmle")]
+#: Methods whose default CI is the unit bootstrap.
+BOOTSTRAP_CI_METHODS = [m for m in ALL_METHODS if m not in estimators.ANALYTIC_CI_METHODS]
+
+
+def loop_bootstrap_ci(matrix, method, level, seed=0, b=500, point=None):
+    """The unit bootstrap one resample at a time: the oracle of the batched
+    ``bootstrap_ci``.  Each resample draws its t units with its own
+    ``rng.integers`` call, gathers and sums those columns, and sorts the
+    nonzero sums; each distinct resample is estimated once."""
+    rng = np.random.default_rng(seed)
+    t = matrix.t
+    keys = []
+    distinct = {}
+    for _ in range(b):
+        y = matrix.w[:, rng.integers(0, t, size=t)].sum(axis=1)
+        y = np.sort(y[y > 0])
+        key = y.tobytes()
+        if key not in distinct:
+            distinct[key] = counts_from_y(t, y)
+        keys.append(key)
+    fits = dict(zip(distinct, point_estimates(list(distinct.values()), method,
+                                              em_config=estimators.BOOT_EM_CONFIG)))
+    values = [p for p, status, _ in map(fits.get, keys)
+              if status != "failed" and p is not None and math.isfinite(p)]
+    failed = b - len(values)
+    if not values:
+        return float("nan"), float("nan"), 0, failed
+    if len(set(values)) == 1:
+        v = values[0] if point is None else point
+        return float(v), float(v), len(values), failed
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.quantile(values, [alpha, 1.0 - alpha])
+    return float(lo), float(hi), len(values), failed
+
+
+def assert_bootstrap_matches_loop(matrix, method, seed, b, level=0.9):
+    """(lo, hi, kept, failed) exactly as the per-resample loop gives them."""
+    batched = estimators.bootstrap_ci(matrix, method, level, seed, b)
+    assert repr(batched) == repr(loop_bootstrap_ci(matrix, method, level, seed, b))
+
+
+def from_rows(rows):
+    """An incidence matrix from 0/1 element rows; all-zero rows are dropped."""
+    w = np.array(rows, dtype=np.uint8)
+    w = w[w.any(axis=1)]
+    return IncidenceMatrix(t=w.shape[1], element_ids=tuple(range(len(w))), w=w)
+
+
+units_strategy = st.lists(st.frozensets(st.integers(0, 12), max_size=6), min_size=1, max_size=15)
+
+
+class TestBatchedBootstrap:
+    """The batched unit bootstrap against the per-resample loop."""
+
+    @given(units_strategy, st.sampled_from(CLOSED_FORMS), st.integers(0, 2 ** 32),
+           st.integers(1, 80), st.sampled_from([1 << 20, 7]))
+    @settings(max_examples=150, deadline=None)
+    def test_closed_forms_match_loop(self, units, method, seed, b, block):
+        if not any(units):
+            return
+        # A 2^20-entry block holds every resample; a 7-entry block holds one.
+        with mock.patch.object(estimators, "_BOOT_BLOCK", block):
+            assert_bootstrap_matches_loop(build_incidence_matrix(units), method, seed, b)
+
+    @given(units_strategy, st.sampled_from(["unpmle", "pnpmle"]), st.integers(0, 2 ** 32),
+           st.sampled_from([1 << 20, 7]))
+    @settings(max_examples=25, deadline=None)
+    def test_npmles_match_loop(self, units, method, seed, block):
+        if not any(units):
+            return
+        with mock.patch.object(estimators, "_BOOT_BLOCK", block):
+            assert_bootstrap_matches_loop(build_incidence_matrix(units), method, seed, 20)
+
+    EDGES = {
+        # t = 2 and t = 3: iChao2 fails on every resample, JK2's f2 term vanishes at t = 2.
+        "t2": [[1, 0], [1, 1], [0, 1]],
+        "t3": [[1, 0, 0], [1, 1, 0], [0, 1, 1], [1, 1, 1]],
+        # Only singletons: ICE falls back to Chao2, Zelterman's f2 = 0, theta >= 1.
+        "singletons": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+                       [0, 0, 0, 0, 0, 1]],
+        # No singletons: Zelterman's f1 = 0.
+        "no-singletons": [[1, 1, 0, 0, 1], [0, 1, 1, 1, 1], [1, 0, 1, 1, 1]],
+    }
+
+    @pytest.mark.parametrize("method", BOOTSTRAP_CI_METHODS)
+    @pytest.mark.parametrize("case", sorted(EDGES))
+    def test_edge_cases_match_loop(self, case, method):
+        assert_bootstrap_matches_loop(from_rows(self.EDGES[case]), method, seed=4, b=60)
+
+    def test_edge_cases_reach_their_branches(self):
+        def scored(case, method):
+            return point_estimate(frequency_counts(from_rows(self.EDGES[case])), method)
+
+        assert scored("t2", "ichao2")[1] == scored("t3", "ichao2")[1] == "failed"
+        assert "chao2" in scored("singletons", "ice")[2]["reason"]
+        assert scored("singletons", "zelterman")[1] == "failed"
+        assert scored("no-singletons", "zelterman")[1] == "failed"
+        assert "theta" in scored("singletons", "chao_bunge")[2]["reason"]
+        _, _, kept, failed = estimators.bootstrap_ci(from_rows(self.EDGES["t3"]), "zelterman",
+                                                      0.9, seed=4, b=60)
+        assert kept > 0 and failed > 0
+
+    @pytest.mark.parametrize("method", CLOSED_FORMS)
+    def test_past_a_block_boundary(self, method):
+        rng = np.random.default_rng(3)
+        t, b = 300, 200
+        # Several full blocks of resamples, then a partial one.
+        assert b * t > estimators._BOOT_BLOCK and b % (estimators._BOOT_BLOCK // t)
+        matrix = from_rows(rng.random((6, t)) < np.array([[0.002], [0.005], [0.01], [0.02],
+                                                           [0.1], [0.5]]))
+        assert_bootstrap_matches_loop(matrix, method, seed=9, b=b)
+
+    def test_memory_stays_bounded(self):
+        # Unblocked, the draws and the multiplicity matrix of 500 resamples
+        # of 10^5 units would take 400 MB each.  Measured peak: 40.4 MiB, of
+        # which the float64 copy of W is 38 MiB.
+        t = 10 ** 5
+        pi = np.logspace(-5, -0.5, 50)[:, None]
+        matrix = from_rows(np.random.default_rng(1).random((50, t)) < pi)
+        tracemalloc.start()
+        try:
+            _, _, kept, _ = estimators.bootstrap_ci(matrix, "jk1", 0.9, seed=2, b=500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept == 500
+        assert peak < 64 * 2 ** 20
+
+
+def frequencies(t):
+    """Frequency counts {k: f_k > 0} with 1 <= k <= t."""
+    return st.dictionaries(st.integers(1, t), st.integers(1, 60), max_size=12)
+
+
+frequency_data = st.integers(2, 40).flatmap(lambda t: st.tuples(st.just(t), frequencies(t)))
+
+
+def padded_y(rows):
+    """The incidence frequencies of count vectors as one int64 array, each
+    row led by 0s (no element) as the bootstrap's sorted rows are."""
+    width = max(c.s_obs for c in rows)
+    y = np.zeros((len(rows), width), dtype=np.int64)
+    for i, c in enumerate(rows):
+        y[i, width - c.s_obs:] = c.y
+    return y
+
+
+def assert_same_result(result, expected):
+    """Equal (point, status, diagnostics), the diagnostics serialized."""
+    assert result[:2] == expected[:2]
+    assert json.dumps(result[2], sort_keys=True) == json.dumps(expected[2], sort_keys=True)
+
+
+class TestArrayClosedForms:
+    REFERENCES = {
+        "chao2": ref.ref_chao2,
+        "chao2_bc": ref.ref_chao2_bc,
+        "ichao2": ref.ref_ichao2,
+        "jk1": ref.ref_jk1,
+        "jk2": ref.ref_jk2,
+        "ice": ref.ref_ice,
+        "ice1": lambda t, f: ref.ref_ice(t, f, bias_corrected=True),
+        "zelterman": ref.ref_zelterman,
+        "chao_bunge": ref.ref_chao_bunge,
+    }
+
+    @given(frequency_data, st.sampled_from(CLOSED_FORMS))
+    @settings(max_examples=300, deadline=None)
+    def test_against_reference_transcriptions(self, data, method):
+        t, f = data
+        counts = mkcounts(t, f)
+        point, status, _ = point_estimate(counts, method)
+        if status == "failed" or (method == "chao_bunge" and status != "ok"):
+            return  # the references define no failure or clamp
+        expected = (ref.ref_bootstrap(t, counts.y) if method == "bootstrap"
+                    else self.REFERENCES[method](t, f))
+        # Criterion 5's tolerance for the closed forms.
+        assert point == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("method", CLOSED_FORMS)
+    def test_rows_equal_scalar_forms(self, method):
+        # Exactly, diagnostics included: the digests of earlier runs rest on
+        # each formula's operation order, libm's pow and exp, and the
+        # left-to-right sum of the bootstrap estimator.  A reordered formula
+        # changes the last bit of a few percent of values, so many rows; and
+        # numpy's power departs from libm's at larger t.
+        rng = np.random.default_rng(11)
+        for t in (2, 3, 4, 5, 8, 12, 25, 60, 100, 200, 1000):
+            rows = []
+            for _ in range(300):
+                ks = np.flatnonzero(rng.random(t) < rng.uniform(0.02, 0.6) * min(1.0, 40 / t)) + 1
+                fk = rng.geometric(rng.uniform(0.02, 0.8), size=len(ks))
+                rows.append(mkcounts(t, dict(zip(ks.tolist(), fk.tolist()))))
+            scored = estimators._closed_form(estimators._rows(t, padded_y(rows)), method)
+            for i, counts in enumerate(rows):
+                assert_same_result(estimators._row(scored, i), scalar_point(counts, method))
+
+    @given(st.integers(2, 40).flatmap(
+        lambda t: st.tuples(st.just(t), st.lists(frequencies(t), min_size=1, max_size=6))),
+        st.sampled_from(CLOSED_FORMS))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_of_one_equals_its_batch_row(self, data, method):
+        t, fs = data
+        rows = [mkcounts(t, f) for f in fs]
+        scored = estimators._closed_form(estimators._rows(t, padded_y(rows)), method)
+        for i, counts in enumerate(rows):
+            assert_same_result(estimators._row(scored, i), point_estimate(counts, method))
+
+
 @given(
     st.lists(st.frozensets(st.integers(0, 12), max_size=6), min_size=2, max_size=15),
-    st.sampled_from([m for m in ALL_METHODS if m not in ("unpmle", "pnpmle")]),
+    st.sampled_from(CLOSED_FORMS),
 )
 @settings(max_examples=120, deadline=None)
 def test_estimator_contract_property(units, method):
