@@ -24,7 +24,15 @@ The two binomial-mixture NPMLEs are fitted by EM accelerated with SQUAREM
 (a squared extrapolation of two EM steps), with a fallback to the plain EM
 step whenever the extrapolation would lower the objective, so the fit is
 monotone.  Their ``iterations`` diagnostic counts EM steps.  The bootstrap
-fits each distinct resample once, all of them in one batched EM.
+fits each distinct resample once, in a batched EM: count vectors that share
+t and their number of distinct k rounded up to a multiple of 8 iterate as
+one stack, each padded to that width with its own last k at count 0.  An
+EM step builds the log pmf of a block of rows in one buffer, by one small
+matrix product per row, and takes exp only on lanes that do not underflow
+to 0 (numpy's vectorized exp is slow on those).  It gets the class totals
+as w times a product of f/mix with the pmf, with no responsibility array.
+A row's arithmetic never depends on its neighbours in a stack, so a fit in
+a batch is the same as the fit alone.
 """
 
 from __future__ import annotations
@@ -289,21 +297,67 @@ def _pi_floor(t):
     return 1.0 / (2.0 * t)
 
 
+#: exp(x) rounds to exactly 0 for every x below this (the smallest subnormal
+#: is exp(-744.44), and exp(-745.14) already rounds to 0).  numpy's vectorized
+#: exp is several times slower on arrays where such lanes are common.
+_EXP_CUT = -745.2
+
+#: Entries of the (rows, width, grid) binomial pmf that ``_em_map`` builds at
+#: a time (at least one row), so that a large stack does not raise the peak
+#: memory.
+_EM_BLOCK = 1 << 15
+
+#: Rows are stacked for the EM by their number of distinct k rounded up to a
+#: multiple of this, and padded to it.
+_EM_WIDTH_STEP = 8
+
+
+def _exp_in_place(x):
+    """np.exp(x), written over x and bit-equal to it on every lane.  The lanes
+    below ``_EXP_CUT``, where np.exp gives exactly 0 by a slow path, are set
+    to 0 before the exp (exp(0) is fast) and to 0 again after it.  A NaN
+    lane stays NaN."""
+    under = x < _EXP_CUT
+    x[under] = 0.0
+    np.exp(x, out=x)
+    x[under] = 0.0
+    return x
+
+
+def _clip_support(pis, t):
+    """Support points clipped to [1/(2t), 1 - 1e-10] in place (NaN stays NaN);
+    np.clip's Python wrapper costs more than the clip on a small stack."""
+    np.maximum(pis, _pi_floor(t), out=pis)
+    return np.minimum(pis, 1.0 - 1e-10, out=pis)
+
+
 def _em_start(t, ks, fks, log_coef, penalized, cfg):
     """The per-row constants of ``_em_map`` for a stack, and its start (w, pi).
 
     ``ks`` and ``fks`` are contiguous (rows, width) float arrays holding each
-    row's observed frequencies and their counts; ``log_coef`` is
-    ``_log_binom_coef(t)``.  Every constant has the rows on its first axis.
+    row's observed frequencies and their counts (a padding lane repeats a k
+    at count 0); ``log_coef`` is ``_log_binom_coef(t)``.  Every constant has
+    the rows on its first axis.
     """
     rows, size = ks.shape[0], cfg.grid_size
-    pi_floor = _pi_floor(t)
-    grid = np.clip(np.linspace(pi_floor, 1.0 - 1e-12, size), pi_floor, 1.0 - 1e-10)
+    grid = _clip_support(np.linspace(_pi_floor(t), 1.0 - 1e-12, size), t)
     n = fks.sum(axis=1)
     n_aug = np.maximum(n - (cfg.penalty if penalized else 0.0), 0.0)
-    data = (log_coef[ks.astype(np.intp)][:, :, None], ks[:, :, None], (t - ks)[:, :, None],
-            fks[:, None, :], (fks * ks)[:, None, :], n, n_aug)
+    terms = np.stack([log_coef[ks.astype(np.intp)], np.ones_like(ks), ks], axis=2)
+    data = (terms, ks, fks, n, n_aug)
     return data, np.full((rows, size), 1.0 / size), np.tile(grid, (rows, 1))
+
+
+def _pmf_coefs(t, pis):
+    """The (rows, 3, grid) right-hand factor of the log binomial pmf: row r's
+    log pmf is ``terms[r] @ coefs[r]`` = log C(t, k) + t log(1 - pi)
+    + k logit(pi), with ``terms`` from ``_em_start``."""
+    coefs = np.empty((pis.shape[0], 3, pis.shape[1]))
+    coefs[:, 0] = 1.0
+    log1m = np.log1p(-pis)
+    np.multiply(t, log1m, out=coefs[:, 1])
+    np.subtract(np.log(pis), log1m, out=coefs[:, 2])
+    return coefs
 
 
 def _em_map(t, data, w, pis):
@@ -311,39 +365,51 @@ def _em_map(t, data, w, pis):
     the objective the EM ascends, L = sum_k f_k log mix_k - n_aug log(1 - p0),
     and the reported zero-truncated log-likelihood (n in place of n_aug).
 
-    Each matrix product is taken per row at that row's own shape, so a row's
-    arithmetic is the same whatever else is in the stack (padding rows to a
-    common width would change the BLAS summation order).
+    The class totals need no (rows, width, grid) responsibilities:
+    sum_k f_k resp_kj = w_j sum_k (f_k / mix_k) pmf_kj, and likewise with
+    f_k k for the incidences, so both come from one (2, width) x
+    (width, grid) product per row.  The pmf is built in row blocks of
+    ``_EM_BLOCK`` entries.  Every product is taken per row, at the stack's
+    width, so a row's arithmetic does not depend on the other rows in the
+    stack or on where the blocks fall.
     """
-    logc, k, tk, fk, fkk, n, n_aug = data
-    log1m = np.log1p(-pis)
-    pmf = np.exp(logc + k * np.log(pis)[:, None, :] + tk * log1m[:, None, :])
-    z0 = np.exp(t * log1m)  # (1-pi)^t
-    mix = np.matmul(pmf, w[:, :, None])[:, :, 0]
+    terms, k, fk, n, n_aug = data
+    rows, width = k.shape
+    coefs = _pmf_coefs(t, pis)
+    z0 = _exp_in_place(coefs[:, 1].copy())  # (1-pi)^t
     p0 = np.minimum(np.matmul(z0[:, None, :], w[:, :, None])[:, 0, 0], 1.0 - 1e-12)
     n0 = n_aug * p0 / (1.0 - p0)
 
-    resp = pmf * w[:, None, :]
-    resp /= resp.sum(axis=2, keepdims=True)
+    mix = np.empty((rows, width))
+    cls = np.empty((rows, 2, pis.shape[1]))
+    step = max(1, _EM_BLOCK // (width * pis.shape[1]))
+    for a in range(0, rows, step):
+        b = slice(a, a + step)
+        # The binomial pmf C(t, k) pi^k (1 - pi)^(t - k), in one buffer.
+        pmf = _exp_in_place(np.matmul(terms[b], coefs[b]))
+        mix[b] = np.matmul(pmf, w[b, :, None])[:, :, 0]
+        scaled = np.empty((len(pmf), 2, width))
+        np.divide(fk[b], mix[b], out=scaled[:, 0])
+        np.multiply(scaled[:, 0], k[b], out=scaled[:, 1])
+        np.matmul(scaled, pmf, out=cls[b])
     resp0 = z0 * w
     resp0 = np.where(p0[:, None] > 0, resp0 / resp0.sum(axis=1, keepdims=True), 0.0)
 
-    cls_mass = np.matmul(fk, resp)[:, 0, :] + n0[:, None] * resp0
-    cls_inc = np.matmul(fkk, resp)[:, 0, :]
+    cls_mass = w * cls[:, 0] + n0[:, None] * resp0
+    cls_inc = w * cls[:, 1]
     w_new = cls_mass / (n + n0)[:, None]
-    pis_new = np.clip(np.where(cls_mass > 0, cls_inc / (t * cls_mass), pis),
-                      _pi_floor(t), 1.0 - 1e-10)
+    pis_new = _clip_support(np.where(cls_mass > 0, cls_inc / (t * cls_mass), pis), t)
 
-    # A zero mixture density (log-likelihood -inf) is exactly a row of 0/0
-    # responsibilities.
-    fit = np.matmul(fk, np.log(mix)[:, :, None])[:, 0, 0]
+    # A zero mixture density makes the objective non-finite (-inf, or NaN
+    # where a padding lane's 0 count meets it).
+    fit = np.matmul(fk[:, None, :], np.log(mix)[:, :, None])[:, 0, 0]
     log_tail = np.log(1.0 - p0)
     return w_new, pis_new, fit - n_aug * log_tail, fit - n * log_tail
 
 
 def _em(t, ks, fks, log_coef, penalized, cfg):
-    """SQUAREM-accelerated EM for rows of count vectors that share t and the
-    number of distinct k (arguments as for ``_em_start``).
+    """SQUAREM-accelerated EM for rows of count vectors that share t and a
+    padded width (arguments as for ``_em_start``).
 
     The live rows advance together as one stacked array through cycles of
     the monotone SqS3 scheme (Varadhan & Roland 2008, Scand. J. Stat.
@@ -365,7 +431,6 @@ def _em(t, ks, fks, log_coef, penalized, cfg):
     and whether the row converged.
     """
     rows, size = ks.shape[0], cfg.grid_size
-    pi_floor = _pi_floor(t)
     w, pis = np.empty((rows, size)), np.empty((rows, size))
     ll, ll_delta = np.empty(rows), np.empty(rows)
     iterations = np.full(rows, cfg.max_iter)
@@ -408,7 +473,7 @@ def _em(t, ks, fks, log_coef, penalized, cfg):
             alpha = np.where(np.isfinite(alpha), np.minimum(alpha, -1.0), -1.0)[:, None]
             we = np.maximum(wl - 2.0 * alpha * wr + alpha * alpha * wv, 0.0)
             we /= we.sum(axis=1, keepdims=True)
-            pe = np.clip(pl - 2.0 * alpha * pr + alpha * alpha * pv, pi_floor, 1.0 - 1e-10)
+            pe = _clip_support(pl - 2.0 * alpha * pr + alpha * alpha * pv, t)
             w3, p3, obj_e, _ = _em_map(t, data, we, pe)
             evals += 2
             kept = (obj_e >= obj_prev)[:, None]
@@ -423,9 +488,14 @@ def _npmle(counts_list, penalized: bool, cfg: EMConfig):
     The unobserved zero class is handled by data augmentation; the
     penalized variant shrinks the augmented zero count, which bounds the
     estimate away from the f0 blow-up of the raw mixture likelihood.
-    Count vectors with the same t and number of distinct frequencies are
-    fitted together in one batched EM; returns one (point, status,
-    diagnostics) per count vector.
+
+    A count vector's (k, f_k) pairs are padded to its number of distinct k
+    rounded up to a multiple of ``_EM_WIDTH_STEP``, with its own last k at
+    count 0, which adds nothing to the fit.  The vectors with the same t and
+    padded width are fitted together in one batched EM.  The padded width
+    depends only on the vector itself, so each fit is the same as fitting
+    that vector alone.  Returns one (point, status, diagnostics) per count
+    vector.
     """
     results = [None] * len(counts_list)
     groups = {}
@@ -433,11 +503,15 @@ def _npmle(counts_list, penalized: bool, cfg: EMConfig):
         if c.s_obs == 0:
             results[i] = (None, "failed", {"reason": "no observed elements"})
         else:
-            groups.setdefault((c.t, len(c.f)), []).append(i)
+            width = -(-len(c.f) // _EM_WIDTH_STEP) * _EM_WIDTH_STEP
+            groups.setdefault((c.t, width), []).append(i)
     log_coef = {t: _log_binom_coef(t) for t, _ in groups}
-    for (t, _), members in groups.items():
-        pairs = np.array([sorted(counts_list[i].f.items()) for i in members], dtype=float)
-        ks, fks = np.ascontiguousarray(pairs.transpose(2, 0, 1))
+    for (t, width), members in groups.items():
+        padded = []
+        for i in members:
+            pairs = sorted(counts_list[i].f.items())
+            padded.append(pairs + [(pairs[-1][0], 0)] * (width - len(pairs)))
+        ks, fks = np.ascontiguousarray(np.array(padded, dtype=float).transpose(2, 0, 1))
         fit = _em(t, ks, fks, log_coef[t], penalized, cfg)
         for row, i in enumerate(members):
             results[i] = _npmle_finish(counts_list[i], penalized, cfg, *(a[row] for a in fit))

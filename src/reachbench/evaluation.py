@@ -174,14 +174,6 @@ def _is_normal(sample, alpha):
     return p >= alpha
 
 
-def _estimates_for_binning(matrices, m, method, level, seed, **est_kw):
-    out = []
-    for i, mat in enumerate(matrices):
-        binned = rebin(mat, m) if m > 1 else mat
-        out.append(estimate(binned, method, level, seed=seed + i, **est_kw))
-    return out
-
-
 def sensitivity_analysis(
     trials,
     unit_sizes,
@@ -209,8 +201,11 @@ def sensitivity_analysis(
             raise EvaluationError(f"unit size {r} is not a multiple of base {base_r}")
     per_size = {}
     for r in unit_sizes:
+        m = r // base_r
+        binned = [rebin(mat, m) if m > 1 else mat for mat in trials]
         per_size[r] = {
-            method: _estimates_for_binning(trials, r // base_r, method, level, seed, **est_kw)
+            method: [estimate(mat, method, level, seed=seed + i, **est_kw)
+                     for i, mat in enumerate(binned)]
             for method in methods
         }
 

@@ -164,8 +164,8 @@ class TestBatchedEM:
     @pytest.mark.parametrize("max_iter", [2, 20])
     def test_nonconverged_row_leaves_neighbours_alone(self, max_iter, fixture_matrix):
         cfg = EMConfig(max_iter=max_iter)
-        # Rows 1-2 and rows 3-4 each share t and width, so each pair iterates
-        # in one stacked array.
+        # Rows 1-4 share t and a padded width, so they iterate in one stacked
+        # array.
         rows = [frequency_counts(fixture_matrix), mkcounts(10, {1: 1}), mkcounts(10, {10: 5}),
                 mkcounts(10, {1: 6, 2: 1}), mkcounts(10, {1: 3, 3: 2})]
         batch = self.assert_rows_fit_alone(rows, "unpmle", cfg)
@@ -202,6 +202,43 @@ class TestBatchedEM:
         assert res.diagnostics["bootstrap_resamples"] == kept
         assert res.ci_low == pytest.approx(ci_low, rel=1e-9)
         assert res.ci_high == pytest.approx(ci_high, rel=1e-9)
+
+    # EM-map evaluations (one per stack per step) of the pinned bootstrap
+    # call.  Stacked by exact width, these were 2,398 and 2,812.
+    @pytest.mark.parametrize("method,max_maps", [("unpmle", 1242), ("pnpmle", 1671)])
+    def test_bootstrap_em_map_calls_bounded(self, method, max_maps, fixture_matrix,
+                                            monkeypatch):
+        em_map, maps = estimators._em_map, []
+
+        def counting(t, data, w, pis):
+            maps.append(len(w))
+            return em_map(t, data, w, pis)
+
+        monkeypatch.setattr(estimators, "_em_map", counting)
+        estimate(fixture_matrix, method, seed=5, boot_b=200)
+        assert len(maps) <= max_maps
+
+    @staticmethod
+    def of_width(width):
+        return mkcounts(50, {k: 1 + k % 3 for k in range(1, 2 * width, 2)})
+
+    @pytest.mark.parametrize("method", ["unpmle", "pnpmle"])
+    def test_widths_stack_by_bucket_of_eight(self, method, monkeypatch):
+        em, stacks = estimators._em, []
+
+        def recording(t, ks, *args):
+            stacks.append(ks.shape)
+            return em(t, ks, *args)
+
+        monkeypatch.setattr(estimators, "_em", recording)
+        rows = [self.of_width(w) for w in (9, 12, 16)]
+        self.assert_rows_fit_alone(rows, method, estimators.BOOT_EM_CONFIG)
+        # The batch is one stack, then each row is fitted alone.
+        assert stacks == [(3, 16)] + [(1, 16)] * 3
+        stacks.clear()
+        point_estimates([self.of_width(8), self.of_width(9)], method,
+                        em_config=estimators.BOOT_EM_CONFIG)
+        assert sorted(stacks) == [(1, 8), (1, 16)]
 
 
 def heavy_tailed_counts(pi_seed, t, sim_seed):
@@ -279,6 +316,70 @@ class TestSquaremEM:
         _, status, diagnostics = point_estimate(heavy_tailed_counts(*self.CASES["wide-100"]),
                                                 "pnpmle")
         assert status == "ok" and diagnostics["iterations"] < EMConfig().max_iter
+
+
+class TestEMKernel:
+    """The EM map's binomial pmf, its exp, and its memory."""
+
+    # t of the fixture, of rq2_wide's logs and of the smoke run.  The log pmf
+    # is a sum of terms up to about 23 t in size, so its rounding error, and
+    # the pmf's relative error, grow with t.
+    @pytest.mark.parametrize("t", [2, 25, 50, 125])
+    def test_pmf_matches_scipy(self, t):
+        from scipy.stats import binom
+
+        ks = np.arange(1, t + 1, dtype=float)[None, :]
+        data, _, pis = estimators._em_start(t, ks, np.ones_like(ks),
+                                            estimators._log_binom_coef(t), False, EMConfig())
+        pmf = estimators._exp_in_place(data[0] @ estimators._pmf_coefs(t, pis))[0]
+        k, pi = ks[0][:, None], pis[0][None, :]
+        expected = binom.pmf(k, t, pi)
+        # Subnormal lanes carry too few bits for a relative comparison.
+        normal = expected >= np.finfo(float).tiny
+        np.testing.assert_allclose(pmf[normal], expected[normal], rtol=1e-12, atol=0)
+        under = binom.logpmf(k, t, pi) < estimators._EXP_CUT
+        assert (pmf[under] == 0.0).all()
+        assert under.any() == (t >= 50)
+
+    def test_exp_in_place_is_np_exp(self):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-800.0, 5.0, (40, 16, 20))
+        x[::3, :, -4:] = -760.0
+        x[0, 0, 0] = np.nan
+        x[0, 0, 1] = -745.1  # rounds to the smallest subnormal, not to 0
+        expected = np.exp(x)
+        got = estimators._exp_in_place(x.copy())
+        assert got.tobytes() == expected.tobytes()
+        assert (got[x < estimators._EXP_CUT] == 0.0).all() and got[0, 0, 1] > 0
+
+    def test_nan_support_point_makes_a_nonfinite_row(self):
+        c = mkcounts(25, {1: 4, 2: 3, 5: 2})
+        ks, fks = np.ascontiguousarray(
+            np.array([sorted(c.f.items())] * 2, dtype=float).transpose(2, 0, 1))
+        data, w, pis = estimators._em_start(c.t, ks, fks, estimators._log_binom_coef(c.t),
+                                            False, EMConfig())
+        pis[1, 7] = np.nan
+        with np.errstate(invalid="ignore"):
+            _, _, obj, ll = estimators._em_map(c.t, data, w, pis)
+        assert np.isfinite(obj[0]) and np.isfinite(ll[0])
+        assert not np.isfinite(obj[1]) and not np.isfinite(ll[1])
+
+    def test_em_memory_stays_bounded(self):
+        # A stack of rq2_wide's shape: 500 rows of width 32 at t = 50, grid
+        # 20.  Measured peak 2.96 MiB; without the row blocks it was 5.42 MiB.
+        rng = np.random.default_rng(0)
+        t, rows, width = 50, 500, 32
+        ks = np.sort(np.array([rng.choice(np.arange(1, t + 1), width, replace=False)
+                               for _ in range(rows)], dtype=float), axis=1)
+        fks = rng.integers(1, 6, (rows, width)).astype(float)
+        cfg = EMConfig(grid_size=20, max_iter=4)
+        tracemalloc.start()
+        try:
+            estimators._em(t, ks, fks, estimators._log_binom_coef(t), False, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestDegenerateContract:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reachbench.evaluation as evaluation
 from reachbench.estimators import EstimateWithCI
 from reachbench.evaluation import (
     BernoulliProductModel,
@@ -16,7 +17,7 @@ from reachbench.evaluation import (
     sensitivity_analysis,
     simulate_incidence,
 )
-from reachbench.incidence import build_incidence_matrix, frequency_counts
+from reachbench.incidence import build_incidence_matrix, frequency_counts, rebin
 
 
 def mktrial(i, point, lo=None, hi=None, status="ok"):
@@ -141,6 +142,29 @@ class TestSensitivity:
         for v in verdicts:
             assert v.test_used in ("welch", "mann-whitney")
             assert 0.0 <= v.p_value <= 1.0
+
+    def test_rebins_each_trial_once_per_size(self, monkeypatch, caplog):
+        rng = np.random.default_rng(1)
+        # t = 9 is no multiple of 2 or 4: every rebin drops a trailing unit
+        # and warns.
+        trials = [
+            build_incidence_matrix([frozenset(int(e) for e in rng.choice(20, 5, replace=False))
+                                    for _ in range(9)])
+            for _ in range(4)
+        ]
+        calls = []
+
+        def counting(matrix, m):
+            calls.append(m)
+            return rebin(matrix, m)
+
+        monkeypatch.setattr(evaluation, "rebin", counting)
+        with caplog.at_level("WARNING", logger="reachbench.incidence"):
+            verdicts = sensitivity_analysis(trials, [1, 2, 4], ["jk1", "jk2", "bootstrap"],
+                                            boot_b=20)
+        assert len(verdicts) == 9
+        assert sorted(calls) == [2] * 4 + [4] * 4
+        assert sum("trailing units" in r.getMessage() for r in caplog.records) == 8
 
     def test_unit_size_validation(self):
         trials = [build_incidence_matrix([frozenset({0})] * 4)] * 3
