@@ -30,7 +30,7 @@ from .codegen import (
     element_manifest,
     export_c_source,
 )
-from .estimators import ALL_METHODS, check_level, estimate_all
+from .estimators import ALL_METHODS, check_level, estimate_many
 from .evaluation import check_alpha, rq1_report, sensitivity_analysis
 from .fuzzer import (
     CampaignConfig,
@@ -238,31 +238,30 @@ def cmd_rebin(args) -> int:
     return EXIT_OK
 
 
-def _estimate_rows(matrix, methods, level, seed, boot_b=500):
-    rows = []
-    for est in estimate_all(matrix, methods, level, seed=seed, boot_b=boot_b):
-        rows.append(
-            {
-                "method": est.method,
-                "t": matrix.t,
-                "point": est.point,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "status": est.status,
-                "diagnostics": json.dumps(
-                    {k: v for k, v in est.diagnostics.items() if k != "support"},
-                    sort_keys=True, default=str,
-                ),
-            }
-        )
-    return rows
+def _estimate_rows(jobs, level, boot_b=500):
+    """One estimate-CSV row per (matrix, method, seed) job, from one batch."""
+    return [
+        {
+            "method": est.method,
+            "t": matrix.t,
+            "point": est.point,
+            "ci_low": est.ci_low,
+            "ci_high": est.ci_high,
+            "status": est.status,
+            "diagnostics": json.dumps(
+                {k: v for k, v in est.diagnostics.items() if k != "support"},
+                sort_keys=True, default=str,
+            ),
+        }
+        for (matrix, _, _), est in zip(jobs, estimate_many(jobs, level, boot_b=boot_b))
+    ]
 
 
 def cmd_estimate(args) -> int:
     units = parse_units(_read(args.incidence))
     matrix = build_incidence_matrix(units)
     methods = ALL_METHODS if args.methods == "all" else tuple(args.methods.split(","))
-    rows = _estimate_rows(matrix, methods, args.level, args.seed)
+    rows = _estimate_rows([(matrix, m, args.seed) for m in methods], args.level)
     _write_csv(args.out, ESTIMATE_FIELDS, rows)
     return EXIT_OK
 
@@ -437,19 +436,21 @@ def run_experiment(config: dict, out_dir) -> int:
         esub = edir / f"prog{b:03d}"
         if _stage_done(esub, cfg_digest):
             continue
+        # One estimate batch for the program: every trial, checkpoint and method.
+        jobs, per_trial = [], []
         for k, trial in enumerate(all_logs[b]):
             t_max = trial.t
             checkpoints = cfg["checkpoints"] or sorted(
                 {max(2, t_max // 8), max(2, t_max // 4), max(2, t_max // 2), t_max}
             )
-            rows = []
             for t_cp in checkpoints:
-                rows.extend(
-                    _estimate_rows(head(trial, t_cp), methods, level,
-                                   derive_seed(master, f"ci:{b}:{t_cp}", k),
-                                   boot_b=cfg["bootstrap_b"])
-                )
-            _write_csv(esub / f"trial{k:03d}.csv", ESTIMATE_FIELDS, rows)
+                matrix, seed = head(trial, t_cp), derive_seed(master, f"ci:{b}:{t_cp}", k)
+                jobs += [(matrix, m, seed) for m in methods]
+            per_trial.append(len(checkpoints) * len(methods))
+        rows = iter(_estimate_rows(jobs, level, boot_b=cfg["bootstrap_b"]))
+        for k, n_rows in enumerate(per_trial):
+            _write_csv(esub / f"trial{k:03d}.csv", ESTIMATE_FIELDS,
+                       [next(rows) for _ in range(n_rows)])
         _stage_mark(esub, cfg_digest)
     timings["estimate"] = time.perf_counter() - t0
 

@@ -13,32 +13,44 @@ of count vectors that share t, one per row, and a single count vector is a
 batch of one.  The unit bootstrap draws the units of a block of resamples in
 one call, turns them into a (resamples x t) multiplicity matrix, and takes
 every resample's incidence frequencies Y as that matrix times W transposed,
-in float64 (integer sums below 2^53, so exact in any summation order).  A
-closed form then scores the whole block at once.  Each formula keeps the
-operation order of its scalar form, and the bootstrap estimator's sum is a
-sequential cumsum, as Python's sum was.  Its (1 - k/t)^t terms and
-Zelterman's exp come from ``math``: numpy's vectorized power and exp differ
-from libm in the last bit on some inputs, which would change results.
+in float32 (every partial sum is an integer no larger than t, so exact in
+any summation order while t < 2^24; float64 above).  A closed form then
+scores the whole block at once.  Each formula keeps the operation order of
+its scalar form, and the bootstrap estimator's sum is a sequential cumsum,
+as Python's sum was.  Its (1 - k/t)^t terms and Zelterman's exp come from
+``math``: numpy's vectorized power and exp differ from libm in the last bit
+on some inputs, which would change results.
+
+Estimates are made in batches of (matrix, method, seed) jobs
+(``estimate_many``; ``estimate``, ``estimate_all`` and ``bootstrap_ci`` are
+batches of one).  Each method's point estimates are one call, each job
+draws its resamples from its own seed's stream, and each NPMLE method fits
+the distinct resamples of all its jobs in one call.
 
 The two binomial-mixture NPMLEs are fitted by EM accelerated with SQUAREM
 (a squared extrapolation of two EM steps), with a fallback to the plain EM
 step whenever the extrapolation would lower the objective, so the fit is
-monotone.  Their ``iterations`` diagnostic counts EM steps.  The bootstrap
-fits each distinct resample once, in a batched EM: count vectors that share
-t and their number of distinct k rounded up to a multiple of 8 iterate as
-one stack, each padded to that width with its own last k at count 0.  An
-EM step builds the log pmf of a block of rows in one buffer, by one small
-matrix product per row, and takes exp only on lanes that do not underflow
-to 0 (numpy's vectorized exp is slow on those).  It gets the class totals
-as w times a product of f/mix with the pmf, with no responsibility array.
-A row's arithmetic never depends on its neighbours in a stack, so a fit in
-a batch is the same as the fit alone.
+monotone.  Their ``iterations`` diagnostic counts EM steps.  Count vectors
+with the same number of distinct k rounded up to a multiple of 8 share one
+queued EM, whatever their t: each is padded to that width with its own last
+k at count 0, and t, the grid, log C(t, k) and the support floor are per
+row.  The rows iterate in a live stack of at most b rows (the bootstrap's
+resample count), refilled from the queue at a cycle's start once half of it
+has stopped, and each row counts its own EM steps.  An EM step builds the
+log pmf of a block of rows in one buffer, by one small matrix product per
+row, and takes exp only on lanes that do not underflow to 0 (numpy's
+vectorized exp is slow on those).  It gets the class totals as w times a
+product of f/mix with the pmf, with no responsibility array.  A row's
+arithmetic never depends on its neighbours or on when it joined the stack,
+so a fit in a batch is the same as the fit alone.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,34 +336,53 @@ def _exp_in_place(x):
     return x
 
 
-def _clip_support(pis, t):
-    """Support points clipped to [1/(2t), 1 - 1e-10] in place (NaN stays NaN);
-    np.clip's Python wrapper costs more than the clip on a small stack."""
-    np.maximum(pis, _pi_floor(t), out=pis)
+def _clip_support(pis, floor):
+    """Support points clipped to [floor, 1 - 1e-10] in place (NaN stays NaN);
+    ``floor`` is ``_pi_floor`` of t, a scalar or a column with one t per
+    row.  np.clip's Python wrapper costs more than the clip on a small
+    stack."""
+    np.maximum(pis, floor, out=pis)
     return np.minimum(pis, 1.0 - 1e-10, out=pis)
 
 
-def _em_start(t, ks, fks, log_coef, penalized, cfg):
-    """The per-row constants of ``_em_map`` for a stack, and its start (w, pi).
+def _em_start(t, ks, fks, penalized, cfg, per_t=None):
+    """The per-row constants of ``_em_map`` for rows entering a stack, and
+    their start (w, pi).
 
-    ``ks`` and ``fks`` are contiguous (rows, width) float arrays holding each
-    row's observed frequencies and their counts (a padding lane repeats a k
-    at count 0); ``log_coef`` is ``_log_binom_coef(t)``.  Every constant has
-    the rows on its first axis.
+    ``t`` is an int array with each row's number of units; ``ks`` and
+    ``fks`` are contiguous (rows, width) float arrays holding each row's
+    observed frequencies and their counts (a padding lane repeats a k at
+    count 0).  ``per_t`` caches log C(t, k) and the start grid of each t
+    across calls with one ``cfg``.  Returns t as a float column, the
+    constants (every one with the rows on its first axis), w and pi.
     """
-    rows, size = ks.shape[0], cfg.grid_size
-    grid = _clip_support(np.linspace(_pi_floor(t), 1.0 - 1e-12, size), t)
+    per_t = {} if per_t is None else per_t
+    t = np.asarray(t)
+    rows, width = ks.shape
+    terms = np.empty((rows, width, 3))
+    pis = np.empty((rows, cfg.grid_size))
+    for tv in np.unique(t).tolist():
+        if tv not in per_t:
+            grid = np.linspace(_pi_floor(tv), 1.0 - 1e-12, cfg.grid_size)
+            per_t[tv] = _log_binom_coef(tv), _clip_support(grid, _pi_floor(tv))
+        log_coef, grid = per_t[tv]
+        rows_t = t == tv
+        terms[rows_t, :, 0] = log_coef[ks[rows_t].astype(np.intp)]
+        pis[rows_t] = grid
+    terms[:, :, 1] = 1.0
+    terms[:, :, 2] = ks
+    tcol = t.astype(np.float64).reshape(rows, 1)
     n = fks.sum(axis=1)
     n_aug = np.maximum(n - (cfg.penalty if penalized else 0.0), 0.0)
-    terms = np.stack([log_coef[ks.astype(np.intp)], np.ones_like(ks), ks], axis=2)
-    data = (terms, ks, fks, n, n_aug)
-    return data, np.full((rows, size), 1.0 / size), np.tile(grid, (rows, 1))
+    data = (terms, ks, fks, n, n_aug, _pi_floor(tcol))
+    return tcol, data, np.full((rows, cfg.grid_size), 1.0 / cfg.grid_size), pis
 
 
 def _pmf_coefs(t, pis):
     """The (rows, 3, grid) right-hand factor of the log binomial pmf: row r's
     log pmf is ``terms[r] @ coefs[r]`` = log C(t, k) + t log(1 - pi)
-    + k logit(pi), with ``terms`` from ``_em_start``."""
+    + k logit(pi), with ``terms`` from ``_em_start`` and t a scalar or a
+    column."""
     coefs = np.empty((pis.shape[0], 3, pis.shape[1]))
     coefs[:, 0] = 1.0
     log1m = np.log1p(-pis)
@@ -364,6 +395,8 @@ def _em_map(t, data, w, pis):
     """One EM step for a stack of rows: the updated (w, pi), and at the input
     the objective the EM ascends, L = sum_k f_k log mix_k - n_aug log(1 - p0),
     and the reported zero-truncated log-likelihood (n in place of n_aug).
+    ``t`` is the column of each row's units and ``data`` the constants, both
+    from ``_em_start``.
 
     The class totals need no (rows, width, grid) responsibilities:
     sum_k f_k resp_kj = w_j sum_k (f_k / mix_k) pmf_kj, and likewise with
@@ -373,7 +406,7 @@ def _em_map(t, data, w, pis):
     width, so a row's arithmetic does not depend on the other rows in the
     stack or on where the blocks fall.
     """
-    terms, k, fk, n, n_aug = data
+    terms, k, fk, n, n_aug, floor = data
     rows, width = k.shape
     coefs = _pmf_coefs(t, pis)
     z0 = _exp_in_place(coefs[:, 1].copy())  # (1-pi)^t
@@ -398,7 +431,7 @@ def _em_map(t, data, w, pis):
     cls_mass = w * cls[:, 0] + n0[:, None] * resp0
     cls_inc = w * cls[:, 1]
     w_new = cls_mass / (n + n0)[:, None]
-    pis_new = _clip_support(np.where(cls_mass > 0, cls_inc / (t * cls_mass), pis), t)
+    pis_new = _clip_support(np.where(cls_mass > 0, cls_inc / (t * cls_mass), pis), floor)
 
     # A zero mixture density makes the objective non-finite (-inf, or NaN
     # where a padding lane's 0 count meets it).
@@ -407,126 +440,162 @@ def _em_map(t, data, w, pis):
     return w_new, pis_new, fit - n_aug * log_tail, fit - n * log_tail
 
 
-def _em(t, ks, fks, log_coef, penalized, cfg):
-    """SQUAREM-accelerated EM for rows of count vectors that share t and a
-    padded width (arguments as for ``_em_start``).
+def _squarem(t, data, w0, p0, w1, p1, obj0):
+    """The rest of one SqS3 cycle from theta0 = (w0, p0), whose EM step
+    theta1 = (w1, p1) and objective ``obj0`` are known: theta2 = F(theta1);
+    with r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, the step
+    length alpha = min(-|r|/|v|, -1) (-1 when not finite); an extrapolation
+    to theta0 - 2 alpha r + alpha^2 v, projected back onto the simplex and
+    the support interval; and one stabilising EM step from there, kept only
+    where the objective at the extrapolation is not below ``obj0``
+    (otherwise theta2), so the objective never falls."""
+    w2, p2, _, _ = _em_map(t, data, w1, p1)
+    wr, pr = w1 - w0, p1 - p0
+    wv, pv = w2 - 2.0 * w1 + w0, p2 - 2.0 * p1 + p0
+    alpha = -np.sqrt(((wr * wr).sum(axis=1) + (pr * pr).sum(axis=1))
+                     / ((wv * wv).sum(axis=1) + (pv * pv).sum(axis=1)))
+    alpha = np.where(np.isfinite(alpha), np.minimum(alpha, -1.0), -1.0)[:, None]
+    we = np.maximum(w0 - 2.0 * alpha * wr + alpha * alpha * wv, 0.0)
+    we /= we.sum(axis=1, keepdims=True)
+    pe = _clip_support(p0 - 2.0 * alpha * pr + alpha * alpha * pv, data[-1])
+    w3, p3, obj_e, _ = _em_map(t, data, we, pe)
+    kept = (obj_e >= obj0)[:, None]
+    return np.where(kept, w3, w2), np.where(kept, p3, p2)
 
-    The live rows advance together as one stacked array through cycles of
+
+def _take(arrays, rows):
+    return tuple(a[rows] for a in arrays)
+
+
+def _em(t, ks, fks, penalized, cfg, stack_rows=None):
+    """SQUAREM-accelerated EM for rows of count vectors that share a padded
+    width, each with its own number of units t (arguments as for
+    ``_em_start``).
+
+    The rows wait in a queue and iterate in a live stack of at most
+    ``stack_rows`` rows (default: all of them).  At a cycle's start, once
+    the live rows are no more than half of that, queued rows join the
+    stack up to it.  Every quantity is taken per row, so a row's fit does
+    not depend on when it joined or on its neighbours.  Each cycle follows
     the monotone SqS3 scheme (Varadhan & Roland 2008, Scand. J. Stat.
-    35:335), every quantity taken per row: two EM steps theta1 = F(theta0)
-    and theta2 = F(theta1); with r = theta1 - theta0 and
-    v = theta2 - 2 theta1 + theta0, the step length
-    alpha = min(-|r|/|v|, -1) (-1 when not finite); an extrapolation to
-    theta0 - 2 alpha r + alpha^2 v, projected back onto the simplex and the
-    support interval; and one stabilising EM step from there, kept only if
-    the objective at the extrapolation is not below the cycle's start
-    (otherwise theta2), so the objective never falls.
+    35:335): an EM step from the cycle's start, then ``_squarem``.
 
-    A row is frozen where one cycle raises the objective by less than
+    A row stops where one cycle raises the objective by less than
     ``cfg.tol``, or where it turns non-finite (a frequency that no support
-    point can produce).  ``cfg.max_iter`` and the reported iterations count
-    EM steps, three per cycle; a budget too short for a whole cycle and a
-    convergence check after it is spent on plain EM steps.  Returns per-row
-    weights, support, log-likelihood, iterations, last objective change,
-    and whether the row converged.
+    point can produce).  Each row counts its own EM steps, three per cycle:
+    ``cfg.max_iter`` bounds them, and a row whose remaining budget is too
+    short for a whole cycle and a convergence check after it spends it on
+    plain EM steps.  Yields, for the rows that stop at one step, their
+    indices, weights, support, log-likelihood, iterations, last objective
+    change and whether they converged; the live stack, not the queue,
+    bounds the memory.
     """
-    rows, size = ks.shape[0], cfg.grid_size
-    w, pis = np.empty((rows, size)), np.empty((rows, size))
-    ll, ll_delta = np.empty(rows), np.empty(rows)
-    iterations = np.full(rows, cfg.max_iter)
-    converged = np.zeros(rows, dtype=bool)
-
-    # Working arrays hold the rows still iterating; ``live`` maps them back.
-    live = np.arange(rows)
-    data, wl, pl = _em_start(t, ks, fks, log_coef, penalized, cfg)
-    obj_prev, step = np.full(rows, -np.inf), np.full(rows, np.nan)
-    ll_new = np.full(rows, np.nan)
-    evals = 0
+    rows = len(ks)
+    cap = rows if stack_rows is None else max(1, stack_rows)
+    per_t, joined = {}, 0
+    # Per live row: its index, t, (w, pi) at the cycle's start, objective,
+    # last objective change, log-likelihood and EM steps, then the
+    # constants of ``_em_map``.
+    live = ()
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        while evals < cfg.max_iter:
+        while True:
+            n_live = len(live[0]) if live else 0
+            if joined < rows and 2 * n_live <= cap:
+                new = np.arange(joined, min(rows, joined + cap - n_live))
+                joined += len(new)
+                tn, data, w, pis = _em_start(t[new], ks[new], fks[new], penalized, cfg, per_t)
+                nan = np.full(len(new), np.nan)
+                fresh = (new, tn, w, pis, np.full(len(new), -np.inf), nan, nan,
+                         np.zeros(len(new), dtype=np.intp), *data)
+                live = tuple(map(np.concatenate, zip(live, fresh))) if n_live else fresh
+            elif not n_live:
+                return
+            idx, tl, w, pis, obj_prev, _, _, evals, *data = live
             # Every convergence check sits at a cycle's start.
-            w1, p1, obj, ll_new = _em_map(t, data, wl, pl)
-            evals += 1
+            w1, p1, obj, ll = _em_map(tl, data, w, pis)
+            evals = evals + 1
             step = np.abs(obj - obj_prev)
-            obj_prev = obj
             finite = np.isfinite(obj)
             stop = (step < cfg.tol) | ~finite
             if stop.any():
-                out = live[stop]
-                w[out], pis[out], ll[out], ll_delta[out] = w1[stop], p1[stop], ll_new[stop], step[stop]
-                iterations[out] = evals
-                converged[out] = finite[stop]
-                keep = ~stop
-                live, wl, pl, w1, p1, obj_prev, step, ll_new = (
-                    a[keep] for a in (live, wl, pl, w1, p1, obj_prev, step, ll_new))
-                data = tuple(a[keep] for a in data)
-                if not live.size:
-                    break
-            if cfg.max_iter - evals < 3:
-                wl, pl = w1, p1
-                continue
-            w2, p2, _, _ = _em_map(t, data, w1, p1)
-            wr, pr = w1 - wl, p1 - pl
-            wv, pv = w2 - 2.0 * w1 + wl, p2 - 2.0 * p1 + pl
-            alpha = -np.sqrt(((wr * wr).sum(axis=1) + (pr * pr).sum(axis=1))
-                             / ((wv * wv).sum(axis=1) + (pv * pv).sum(axis=1)))
-            alpha = np.where(np.isfinite(alpha), np.minimum(alpha, -1.0), -1.0)[:, None]
-            we = np.maximum(wl - 2.0 * alpha * wr + alpha * alpha * wv, 0.0)
-            we /= we.sum(axis=1, keepdims=True)
-            pe = _clip_support(pl - 2.0 * alpha * pr + alpha * alpha * pv, t)
-            w3, p3, obj_e, _ = _em_map(t, data, we, pe)
-            evals += 2
-            kept = (obj_e >= obj_prev)[:, None]
-            wl, pl = np.where(kept, w3, w2), np.where(kept, p3, p2)
-    w[live], pis[live], ll[live], ll_delta[live] = wl, pl, ll_new, step
-    return w, pis, ll, iterations, ll_delta, converged
+                yield idx[stop], w1[stop], p1[stop], ll[stop], evals[stop], step[stop], finite[stop]
+                idx, tl, w, pis, w1, p1, obj, step, ll, evals, *data = _take(
+                    (idx, tl, w, pis, w1, p1, obj, step, ll, evals, *data), ~stop)
+                if not len(idx):
+                    live = ()
+                    continue
+            # A row whose budget is too short for a cycle takes the plain
+            # EM step (w1, p1).
+            cycle = cfg.max_iter - evals >= 3
+            if cycle.all():
+                w1, p1 = _squarem(tl, data, w, pis, w1, p1, obj)
+            elif cycle.any():
+                w1[cycle], p1[cycle] = _squarem(tl[cycle], _take(data, cycle), w[cycle],
+                                                pis[cycle], w1[cycle], p1[cycle], obj[cycle])
+            evals = evals + 2 * cycle
+            live = (idx, tl, w1, p1, obj, step, ll, evals, *data)
+            spent = evals >= cfg.max_iter
+            if spent.any():
+                yield (idx[spent], w1[spent], p1[spent], ll[spent], evals[spent], step[spent],
+                       np.zeros(spent.sum(), dtype=bool))
+                live = _take(live, ~spent)
 
 
-def _npmle(counts_list, penalized: bool, cfg: EMConfig):
+def _npmle(counts_list, penalized: bool, cfg: EMConfig, stack_rows=None):
     """Zero-truncated binomial mixtures fitted by EM over a support grid.
 
     The unobserved zero class is handled by data augmentation; the
     penalized variant shrinks the augmented zero count, which bounds the
     estimate away from the f0 blow-up of the raw mixture likelihood.
 
-    A count vector's (k, f_k) pairs are padded to its number of distinct k
-    rounded up to a multiple of ``_EM_WIDTH_STEP``, with its own last k at
-    count 0, which adds nothing to the fit.  The vectors with the same t and
-    padded width are fitted together in one batched EM.  The padded width
+    Each count vector is read once.  Its (k, f_k) pairs are padded to its
+    number of distinct k rounded up to a multiple of ``_EM_WIDTH_STEP``,
+    with its own last k at count 0, which adds nothing to the fit, and the
+    vectors of one padded width, whatever their t, are fitted in one queued
+    EM with a live stack of at most ``stack_rows`` rows.  The padded width
     depends only on the vector itself, so each fit is the same as fitting
     that vector alone.  Returns one (point, status, diagnostics) per count
     vector.
     """
     results = [None] * len(counts_list)
-    groups = {}
+    # Padded width -> indices, t and S_obs of its vectors, and their padded
+    # k and f_k as float rows: machine numbers, so that a long queue holds no
+    # Python objects per entry.
+    buckets = {}
     for i, c in enumerate(counts_list):
-        if c.s_obs == 0:
+        if c.t < 2:
+            results[i] = (None, "failed", {"reason": "need at least 2 sampling units"})
+        elif c.s_obs == 0:
             results[i] = (None, "failed", {"reason": "no observed elements"})
         else:
-            width = -(-len(c.f) // _EM_WIDTH_STEP) * _EM_WIDTH_STEP
-            groups.setdefault((c.t, width), []).append(i)
-    log_coef = {t: _log_binom_coef(t) for t, _ in groups}
-    for (t, width), members in groups.items():
-        padded = []
-        for i in members:
-            pairs = sorted(counts_list[i].f.items())
-            padded.append(pairs + [(pairs[-1][0], 0)] * (width - len(pairs)))
-        ks, fks = np.ascontiguousarray(np.array(padded, dtype=float).transpose(2, 0, 1))
-        fit = _em(t, ks, fks, log_coef[t], penalized, cfg)
-        for row, i in enumerate(members):
-            results[i] = _npmle_finish(counts_list[i], penalized, cfg, *(a[row] for a in fit))
+            ks = sorted(c.f)
+            pad = -len(ks) % _EM_WIDTH_STEP
+            if len(ks) + pad not in buckets:
+                buckets[len(ks) + pad] = tuple(array(code) for code in "qqqdd")
+            bucket = buckets[len(ks) + pad]
+            for column, value in zip(bucket, (i, c.t, c.s_obs)):
+                column.append(value)
+            bucket[3].extend(ks + [ks[-1]] * pad)
+            bucket[4].extend([c.f[k] for k in ks] + [0] * pad)
+    for width, (members, ts, s_obs, ks, fks) in buckets.items():
+        fits = _em(np.frombuffer(ts, dtype=np.int64), np.frombuffer(ks).reshape(-1, width),
+                   np.frombuffer(fks).reshape(-1, width), penalized, cfg, stack_rows)
+        for rows, *fit in fits:
+            for j, row in enumerate(rows.tolist()):
+                results[members[row]] = _npmle_finish(ts[row], s_obs[row], penalized, cfg,
+                                                      *(a[j] for a in fit))
     return results
 
 
-def _npmle_finish(c: FrequencyCounts, penalized, cfg, w, pis, ll, iters, ll_delta, converged):
-    """Prune and merge one fitted mixture, then turn it into a point estimate."""
+def _npmle_finish(t, n, penalized, cfg, w, pis, ll, iters, ll_delta, converged):
+    """Prune and merge one fitted mixture of a count vector of t units and
+    n observed elements, then turn it into a point estimate."""
     if not converged:
         return None, "failed", {
             "reason": "EM did not converge",
             "iterations": int(iters),
             "ll_delta": float(ll_delta),
         }
-    t, n = c.t, c.s_obs
     # Prune negligible weights and merge near-identical support points.
     keep = w > cfg.prune_weight
     w, pis = w[keep], pis[keep]
@@ -567,30 +636,21 @@ def point_estimate(counts: FrequencyCounts, method: str, *, em_config: EMConfig 
     return point_estimates([counts], method, em_config=em_config)[0]
 
 
-def point_estimates(counts_list, method: str, *, em_config: EMConfig = None):
-    """point_estimate for each count vector in ``counts_list``.
+def point_estimates(counts_list, method: str, *, em_config: EMConfig = None, stack_rows=None):
+    """point_estimate for each count vector in ``counts_list``, a sequence
+    that is read once, in order.
 
-    The NPMLE methods fit all the vectors in one batched EM; each result is
-    the same as fitting that vector alone.  A closed form scores each vector
-    as a batch of one.
+    The NPMLE methods fit all the vectors in one queued EM per padded width,
+    with at most ``stack_rows`` rows iterating at once (default: all); each
+    result is the same as fitting that vector alone.  A closed form scores
+    each vector as a batch of one.
     """
     if method not in ALL_METHODS:
         raise ValueError(f"unknown estimator {method!r}")
-    if method not in ("unpmle", "pnpmle"):
-        return [_row(_closed_form(_rows(c.t, np.array(c.y, dtype=np.int64).reshape(1, -1)),
-                                  method), 0)
-                for c in counts_list]
-    results = [None] * len(counts_list)
-    mixture = []
-    for i, counts in enumerate(counts_list):
-        if counts.t < 2:
-            results[i] = (None, "failed", {"reason": "need at least 2 sampling units"})
-        else:
-            mixture.append(i)
-    fits = _npmle([counts_list[i] for i in mixture], method == "pnpmle", em_config or EMConfig())
-    for i, fit in zip(mixture, fits):
-        results[i] = fit
-    return results
+    if method in ("unpmle", "pnpmle"):
+        return _npmle(counts_list, method == "pnpmle", em_config or EMConfig(), stack_rows)
+    return [_row(_closed_form(_rows(c.t, np.array(c.y, dtype=np.int64).reshape(1, -1)), method), 0)
+            for c in counts_list]
 
 
 # ---------------------------------------------------------------------------
@@ -650,20 +710,113 @@ BOOT_EM_CONFIG = EMConfig(grid_size=20, tol=1e-7, max_iter=1000)
 
 #: Entries of the (resamples x t) multiplicity matrix drawn and scored at a
 #: time (at least one resample).  It bounds the bootstrap's working set to a
-#: few arrays of 128 KiB besides the float64 copy of W; larger blocks raised
+#: few arrays of 128 KiB besides the float copy of W; larger blocks raised
 #: the peak memory of whole runs and were no faster.
 _BOOT_BLOCK = 1 << 14
 
 
 def _resampled_y(rng, wt, n):
     """The sorted incidence frequencies of n unit resamples of the matrix
-    whose transposed W is ``wt`` (float64, t x S): one (n, S) int64 array."""
+    whose transposed W is the float array ``wt`` (t x S): one (n, S) int64
+    array."""
     t = wt.shape[0]
     draws = rng.integers(0, t, size=(n, t))
     draws += t * np.arange(n)[:, None]
-    mult = np.bincount(draws.ravel(), minlength=n * t).reshape(n, t).astype(np.float64)
-    # Integer products and sums below 2^53: exact in any summation order.
+    mult = np.bincount(draws.ravel(), minlength=n * t).reshape(n, t).astype(wt.dtype)
+    # Integer products and partial sums no larger than t: exact in any
+    # summation order.
     return np.sort((mult @ wt).astype(np.int64), axis=1)
+
+
+class _DistinctResamples(Sequence):
+    """Resampled count vectors held compactly, as (t, sorted nonzero Y
+    bytes); item i is built as FrequencyCounts only when it is read."""
+
+    def __init__(self):
+        self._rows = []
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        t, key = self._rows[i]
+        return counts_from_y(t, np.frombuffer(key, dtype=np.int64))
+
+    def add(self, t, key):
+        self._rows.append((t, key))
+        return len(self._rows) - 1
+
+
+def _percentile_ci(values, level, point):
+    """(lo, hi, kept, failed) of the bootstrap estimates ``values``; failed
+    counts those that are NaN or not finite."""
+    finite = values[np.isfinite(values)]
+    failed = len(values) - len(finite)
+    if not len(finite):
+        return float("nan"), float("nan"), 0, failed
+    if (finite == finite[0]).all():
+        v = finite[0] if point is None else point
+        return float(v), float(v), len(finite), failed
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.quantile(finite, [alpha, 1.0 - alpha])
+    return float(lo), float(hi), len(finite), failed
+
+
+def _resample_blocks(matrix: IncidenceMatrix, seed, b):
+    """The b unit resamples of ``matrix`` drawn from ``default_rng(seed)``,
+    as (index of the first, ``_resampled_y`` of a block of them)."""
+    rng = np.random.default_rng(seed)
+    s, t = matrix.w.shape
+    # A resample's multiplicities sum to t, so every partial sum of its
+    # product with W is an integer no larger than t: exact in float32 while
+    # t < 2^24, at half the memory of float64.
+    wt = matrix.w.T.astype(np.float32 if t < 1 << 24 else np.float64)
+    step = max(1, _BOOT_BLOCK // max(t, s))
+    for start in range(0, b, step):
+        yield start, _resampled_y(rng, wt, min(step, b - start))
+
+
+def _bootstrap_many(jobs, level, b):
+    """``bootstrap_ci`` for each (matrix, method, seed, point) job.
+
+    Each job draws its resamples from its own seed's stream.  A closed form
+    scores a job's resamples block by block.  An NPMLE job keeps each of
+    its distinct resamples once, and all the jobs of one NPMLE method are
+    fitted in one ``point_estimates`` call, whose live EM stack holds at
+    most b rows; one method's resamples are held at a time.
+    """
+    values = [None] * len(jobs)
+    mixtures = {"unpmle": [], "pnpmle": []}
+    for j, (matrix, method, seed, _) in enumerate(jobs):
+        if method not in ALL_METHODS:
+            raise ValueError(f"unknown estimator {method!r}")
+        if method in mixtures:
+            mixtures[method].append(j)
+            continue
+        values[j] = np.empty(b)
+        for start, y in _resample_blocks(matrix, seed, b):
+            values[j][start:start + len(y)] = _closed_form(_rows(matrix.t, y), method)[0]
+    for method, members in mixtures.items():
+        if not members:
+            continue
+        resamples, inverses = _DistinctResamples(), []
+        for j in members:
+            matrix, _, seed, _ = jobs[j]
+            # Each distinct resample is fitted once: identical resampled
+            # counts recur often on saturated data.
+            index, inverse = {}, []
+            for _, y in _resample_blocks(matrix, seed, b):
+                for row in y:
+                    key = row[row > 0].tobytes()  # the sorted Y determine the f_k and vice versa
+                    if key not in index:
+                        index[key] = resamples.add(matrix.t, key)
+                    inverse.append(index[key])
+            inverses.append(inverse)
+        points = np.array([np.nan if p is None else p for p, _, _ in point_estimates(
+            resamples, method, em_config=BOOT_EM_CONFIG, stack_rows=b)])
+        for j, inverse in zip(members, inverses):
+            values[j] = points[inverse]
+    return [_percentile_ci(v, level, point) for v, (_, _, _, point) in zip(values, jobs)]
 
 
 def bootstrap_ci(matrix: IncidenceMatrix, method: str, level: float, seed: int = 0,
@@ -674,73 +827,66 @@ def bootstrap_ci(matrix: IncidenceMatrix, method: str, level: float, seed: int =
     ``default_rng(seed)``; the resamples are drawn and scored in blocks,
     each drawn in one call, which reads the same stream.  Returns the bounds,
     the number of resamples kept, and the number dropped because their
-    estimate failed or was not finite.
+    estimate failed or was not finite.  A batch of one of ``_bootstrap_many``.
     """
-    if method not in ALL_METHODS:
-        raise ValueError(f"unknown estimator {method!r}")
-    rng = np.random.default_rng(seed)
-    s, t = matrix.w.shape
-    wt = matrix.w.T.astype(np.float64)
-    step = max(1, _BOOT_BLOCK // max(t, s))
-    values = np.empty(b)
-    mixture = method in ("unpmle", "pnpmle")
-    distinct, index, inverse = [], {}, []
-    for start in range(0, b, step):
-        y = _resampled_y(rng, wt, min(step, b - start))
-        if not mixture:
-            values[start:start + len(y)] = _closed_form(_rows(t, y), method)[0]
+    return _bootstrap_many([(matrix, method, seed, point)], level, b)[0]
+
+
+def estimate_many(jobs, level: float = 0.90, *, boot_b: int = 500) -> list:
+    """Point estimate plus CI for each (matrix, method, seed) job, in order.
+
+    Each method's point estimates come from one ``point_estimates`` call.
+    The jobs whose interval is a bootstrap then share one bootstrap batch,
+    in which every job draws from its own seed's stream and each NPMLE
+    method fits all its jobs' resamples in one queued EM.  Every result is
+    the same as the job's estimate alone.
+    """
+    check_level(level)
+    jobs = list(jobs)
+    counts = [frequency_counts(matrix) for matrix, _, _ in jobs]
+    by_method = {}
+    for i, (_, method, _) in enumerate(jobs):
+        by_method.setdefault(method, []).append(i)
+    points = [None] * len(jobs)
+    for method, members in by_method.items():
+        fits = point_estimates([counts[i] for i in members], method, stack_rows=boot_b)
+        for i, fit in zip(members, fits):
+            points[i] = fit
+
+    # Each job's interval (lo, hi) and the diagnostics that describe it.
+    results, intervals, boot = [None] * len(jobs), {}, []
+    for i, ((_, method, _), (point, status, diagnostics)) in enumerate(zip(jobs, points)):
+        if status == "failed":
+            results[i] = _failed(method, level, diagnostics.get("reason", "failed"))
             continue
-        # Each distinct resample is fitted once: identical resampled counts
-        # recur often on saturated data.
-        for row in y:
-            row = row[row > 0]
-            key = row.tobytes()  # the sorted Y determine the f_k and vice versa
-            if key not in index:
-                index[key] = len(distinct)
-                distinct.append(counts_from_y(t, row))
-            inverse.append(index[key])
-    if mixture:
-        fits = point_estimates(distinct, method, em_config=BOOT_EM_CONFIG)
-        values = np.array([np.nan if p is None else p for p, _, _ in fits])[inverse]
-    values = values[np.isfinite(values)]
-    failed = b - len(values)
-    if not len(values):
-        return float("nan"), float("nan"), 0, failed
-    if (values == values[0]).all():
-        v = values[0] if point is None else point
-        return float(v), float(v), len(values), failed
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(values, [alpha, 1.0 - alpha])
-    return float(lo), float(hi), len(values), failed
+        var = (_chao_type_variance(counts[i], method, point)
+               if method in ANALYTIC_CI_METHODS and level != 0.0 else None)
+        if level == 0.0:
+            intervals[i] = point, point, {"ci": "point"}
+        elif var is not None:
+            lo, hi = _normal_ci(point, counts[i].s_obs, var, level)
+            intervals[i] = lo, hi, {"ci": "analytic-normal-truncated", "variance": var}
+        else:
+            boot.append(i)
+    for i, (lo, hi, n_ok, n_failed) in zip(
+            boot, _bootstrap_many([(*jobs[i], points[i][0]) for i in boot], level, boot_b)):
+        intervals[i] = lo, hi, {"ci": "unit-bootstrap-percentile", "bootstrap_resamples": n_ok,
+                                "bootstrap_failed": n_failed}
+    for i, (lo, hi, described) in intervals.items():
+        point, status, diagnostics = points[i]
+        results[i] = EstimateWithCI(jobs[i][1], point, min(lo, point), max(hi, point), level,
+                                    status, {**diagnostics, **described})
+    return results
 
 
 def estimate(matrix: IncidenceMatrix, method: str, level: float = 0.90, *,
              seed: int = 0, boot_b: int = 500) -> EstimateWithCI:
-    """Point estimate plus CI for one method on an incidence matrix."""
-    check_level(level)
-    counts = frequency_counts(matrix)
-    point, status, diagnostics = point_estimate(counts, method)
-    if status == "failed":
-        return _failed(method, level, diagnostics.get("reason", "failed"))
-    diagnostics = dict(diagnostics)
-    if level == 0.0:
-        diagnostics["ci"] = "point"
-        return EstimateWithCI(method, point, point, point, level, status, diagnostics)
-    var = (_chao_type_variance(counts, method, point) if method in ANALYTIC_CI_METHODS
-           else None)
-    if var is not None:
-        lo, hi = _normal_ci(point, counts.s_obs, var, level)
-        diagnostics["ci"] = "analytic-normal-truncated"
-        diagnostics["variance"] = var
-    else:
-        lo, hi, n_ok, n_failed = bootstrap_ci(matrix, method, level, seed, boot_b, point)
-        diagnostics["ci"] = "unit-bootstrap-percentile"
-        diagnostics["bootstrap_resamples"] = n_ok
-        diagnostics["bootstrap_failed"] = n_failed
-    lo = min(lo, point)
-    hi = max(hi, point)
-    return EstimateWithCI(method, point, lo, hi, level, status, diagnostics)
+    """Point estimate plus CI for one method on an incidence matrix: a batch
+    of one of ``estimate_many``."""
+    return estimate_many([(matrix, method, seed)], level, boot_b=boot_b)[0]
 
 
-def estimate_all(matrix: IncidenceMatrix, methods=ALL_METHODS, level: float = 0.90, **kw):
-    return [estimate(matrix, m, level, **kw) for m in methods]
+def estimate_all(matrix: IncidenceMatrix, methods=ALL_METHODS, level: float = 0.90, *,
+                 seed: int = 0, boot_b: int = 500):
+    """``estimate`` of every method in ``methods``, as one batch."""
+    return estimate_many([(matrix, m, seed) for m in methods], level, boot_b=boot_b)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import EstimateWithCI, estimate
+from .estimators import EstimateWithCI, estimate_many
 from .incidence import IncidenceMatrix, rebin
 from .stattests import StatTestError, mann_whitney_u, shapiro_wilk, welch_t_test
 
@@ -199,15 +199,15 @@ def sensitivity_analysis(
     for r in unit_sizes:
         if r % base_r:
             raise EvaluationError(f"unit size {r} is not a multiple of base {base_r}")
-    per_size = {}
+    jobs = []
     for r in unit_sizes:
         m = r // base_r
         binned = [rebin(mat, m) if m > 1 else mat for mat in trials]
-        per_size[r] = {
-            method: [estimate(mat, method, level, seed=seed + i, **est_kw)
-                     for i, mat in enumerate(binned)]
-            for method in methods
-        }
+        jobs += [(mat, method, seed + i) for method in methods for i, mat in enumerate(binned)]
+    # One estimate batch for every (size, method, trial), in that order.
+    ests = iter(estimate_many(jobs, level, **est_kw))
+    per_size = {r: {method: [next(ests) for _ in trials] for method in methods}
+                for r in unit_sizes}
 
     verdicts = []
     for method in methods:

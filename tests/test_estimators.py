@@ -15,8 +15,10 @@ from reachbench.cli import derive_seed
 from reachbench.estimators import (
     ALL_METHODS,
     EMConfig,
+    EstimateWithCI,
     estimate,
     estimate_all,
+    estimate_many,
     point_estimate,
     point_estimates,
 )
@@ -27,6 +29,7 @@ from reachbench.incidence import (
     build_incidence_matrix,
     counts_from_y,
     frequency_counts,
+    head,
 )
 
 import reference_estimators as ref
@@ -133,8 +136,8 @@ class TestBatchedEM:
     out exactly as it does when fitted alone, whatever its neighbours do."""
 
     @staticmethod
-    def assert_rows_fit_alone(rows, method, em_config):
-        batch = point_estimates(rows, method, em_config=em_config)
+    def assert_rows_fit_alone(rows, method, em_config, stack_rows=None):
+        batch = point_estimates(rows, method, em_config=em_config, stack_rows=stack_rows)
         assert len(batch) == len(rows)
         for counts, (point, status, diagnostics) in zip(rows, batch):
             alone = point_estimate(counts, method, em_config=em_config)
@@ -190,6 +193,33 @@ class TestBatchedEM:
         assert batch[1][2]["reason"] == "EM did not converge"
         assert batch[1][2]["iterations"] == 1
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 4, 7, 20])
+    @pytest.mark.parametrize("method", ["unpmle", "pnpmle"])
+    def test_queued_rows_of_mixed_t_match_single_fits(self, method, max_iter, monkeypatch):
+        # Thirteen rows of 2-7 distinct k (one padded width) at t = 10, 25
+        # and 50 in turn, queued behind a live stack of at most 4 rows.
+        rng = np.random.default_rng(max_iter)
+        rows = []
+        for i in range(13):
+            t = (10, 25, 50)[i % 3]
+            ks = rng.choice(np.arange(1, t + 1), rng.integers(2, 8), replace=False)
+            rows.append(mkcounts(t, {int(k): int(rng.integers(1, 6)) for k in ks}))
+        em_map, maps = estimators._em_map, []
+
+        def recording(t, data, w, pis):
+            maps.append((len(w), len(np.unique(t))))
+            return em_map(t, data, w, pis)
+
+        monkeypatch.setattr(estimators, "_em_map", recording)
+        cfg = EMConfig(max_iter=max_iter)
+        batch = point_estimates(rows, method, em_config=cfg, stack_rows=4)
+        monkeypatch.undo()
+        # No map holds more than 4 live rows; some hold all three t.
+        assert max(n for n, _ in maps) <= 4 and max(k for _, k in maps) == 3
+        # Each row is mapped once per EM step it counts.
+        assert sum(n for n, _ in maps) == sum(d["iterations"] for _, _, d in batch)
+        self.assert_rows_fit_alone(rows, method, cfg, stack_rows=4)
+
     # Percentile bounds of the batched bootstrap.  Not compared exactly: the
     # BLAS summation order, and so the last bits, vary across CPUs.
     @pytest.mark.parametrize("method,ci_low,ci_high,kept", [
@@ -218,9 +248,24 @@ class TestBatchedEM:
         estimate(fixture_matrix, method, seed=5, boot_b=200)
         assert len(maps) <= max_maps
 
+    @pytest.mark.parametrize("method", ["unpmle", "pnpmle"])
+    def test_batch_shares_em_maps(self, method, fixture_matrix, monkeypatch):
+        # The bootstraps of four checkpoints fill one live stack between
+        # them.  Measured: 3,137 maps against 5,486 one job at a time
+        # (unpmle), 2,924 against 5,114 (pnpmle).
+        em_map, maps = estimators._em_map, []
+        monkeypatch.setattr(estimators, "_em_map",
+                            lambda t, data, w, pis: maps.append(len(w)) or em_map(t, data, w, pis))
+        jobs = [(head(fixture_matrix, t), method, 5) for t in (10, 15, 20, 25)]
+        batch = estimate_many(jobs, boot_b=200)
+        batch_maps = len(maps)
+        maps.clear()
+        assert repr(batch) == repr([estimate(m, method, seed=5, boot_b=200) for m, _, _ in jobs])
+        assert max(maps) <= 200 and batch_maps < 0.6 * len(maps)
+
     @staticmethod
-    def of_width(width):
-        return mkcounts(50, {k: 1 + k % 3 for k in range(1, 2 * width, 2)})
+    def of_width(width, t=50):
+        return mkcounts(t, {k: 1 + k % 3 for k in range(1, 2 * width, 2)})
 
     @pytest.mark.parametrize("method", ["unpmle", "pnpmle"])
     def test_widths_stack_by_bucket_of_eight(self, method, monkeypatch):
@@ -231,9 +276,10 @@ class TestBatchedEM:
             return em(t, ks, *args)
 
         monkeypatch.setattr(estimators, "_em", recording)
-        rows = [self.of_width(w) for w in (9, 12, 16)]
+        rows = [self.of_width(9), self.of_width(12, t=25), self.of_width(16, t=80)]
         self.assert_rows_fit_alone(rows, method, estimators.BOOT_EM_CONFIG)
-        # The batch is one stack, then each row is fitted alone.
+        # The batch is one stack whatever each row's t, then each row is
+        # fitted alone.
         assert stacks == [(3, 16)] + [(1, 16)] * 3
         stacks.clear()
         point_estimates([self.of_width(8), self.of_width(9)], method,
@@ -272,19 +318,18 @@ class TestSquaremEM:
     def plain_em_point(c, penalized, tol=1e-12, max_iter=10 ** 5):
         cfg = EMConfig()
         ks, fks = np.ascontiguousarray(np.array([sorted(c.f.items())], dtype=float).transpose(2, 0, 1))
-        data, w, pis = estimators._em_start(c.t, ks, fks, estimators._log_binom_coef(c.t),
-                                            penalized, cfg)
+        t, data, w, pis = estimators._em_start(np.array([c.t]), ks, fks, penalized, cfg)
         prev = -np.inf
         with np.errstate(invalid="ignore", divide="ignore"):
             for it in range(1, max_iter + 1):
-                w, pis, obj, ll = estimators._em_map(c.t, data, w, pis)
+                w, pis, obj, ll = estimators._em_map(t, data, w, pis)
                 if abs(obj[0] - prev) < tol:
                     break
                 prev = obj[0]
             else:
                 pytest.fail(f"plain EM did not reach tol {tol} in {max_iter} steps")
-        point, status, _ = estimators._npmle_finish(c, penalized, cfg, w[0], pis[0], ll[0],
-                                                    it, 0.0, True)
+        point, status, _ = estimators._npmle_finish(c.t, c.s_obs, penalized, cfg, w[0], pis[0],
+                                                    ll[0], it, 0.0, True)
         assert status == "ok"
         return point
 
@@ -329,9 +374,9 @@ class TestEMKernel:
         from scipy.stats import binom
 
         ks = np.arange(1, t + 1, dtype=float)[None, :]
-        data, _, pis = estimators._em_start(t, ks, np.ones_like(ks),
-                                            estimators._log_binom_coef(t), False, EMConfig())
-        pmf = estimators._exp_in_place(data[0] @ estimators._pmf_coefs(t, pis))[0]
+        tcol, data, _, pis = estimators._em_start(np.array([t]), ks, np.ones_like(ks), False,
+                                                  EMConfig())
+        pmf = estimators._exp_in_place(data[0] @ estimators._pmf_coefs(tcol, pis))[0]
         k, pi = ks[0][:, None], pis[0][None, :]
         expected = binom.pmf(k, t, pi)
         # Subnormal lanes carry too few bits for a relative comparison.
@@ -356,30 +401,43 @@ class TestEMKernel:
         c = mkcounts(25, {1: 4, 2: 3, 5: 2})
         ks, fks = np.ascontiguousarray(
             np.array([sorted(c.f.items())] * 2, dtype=float).transpose(2, 0, 1))
-        data, w, pis = estimators._em_start(c.t, ks, fks, estimators._log_binom_coef(c.t),
-                                            False, EMConfig())
+        t, data, w, pis = estimators._em_start(np.full(2, c.t), ks, fks, False, EMConfig())
         pis[1, 7] = np.nan
         with np.errstate(invalid="ignore"):
-            _, _, obj, ll = estimators._em_map(c.t, data, w, pis)
+            _, _, obj, ll = estimators._em_map(t, data, w, pis)
         assert np.isfinite(obj[0]) and np.isfinite(ll[0])
         assert not np.isfinite(obj[1]) and not np.isfinite(ll[1])
 
-    def test_em_memory_stays_bounded(self):
-        # A stack of rq2_wide's shape: 500 rows of width 32 at t = 50, grid
-        # 20.  Measured peak 2.96 MiB; without the row blocks it was 5.42 MiB.
+    @staticmethod
+    def em_peak(rows, stack_rows=None):
+        """The tracemalloc peak of ``_em`` on ``rows`` rows of rq2_wide's
+        shape (width 32 at t = 50, grid 20), with its results dropped as
+        they come."""
         rng = np.random.default_rng(0)
-        t, rows, width = 50, 500, 32
+        t, width = 50, 32
         ks = np.sort(np.array([rng.choice(np.arange(1, t + 1), width, replace=False)
                                for _ in range(rows)], dtype=float), axis=1)
         fks = rng.integers(1, 6, (rows, width)).astype(float)
+        ts = np.full(rows, t)
         cfg = EMConfig(grid_size=20, max_iter=4)
         tracemalloc.start()
         try:
-            estimators._em(t, ks, fks, estimators._log_binom_coef(t), False, cfg)
+            for _ in estimators._em(ts, ks, fks, False, cfg, stack_rows):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        return peak
+
+    def test_em_memory_stays_bounded(self):
+        # A stack of 500 rows.  Measured peak 2.96 MiB; without the row
+        # blocks it was 5.42 MiB.
+        assert self.em_peak(500) < 4 * 2 ** 20
+
+    def test_queued_rows_add_no_memory(self):
+        # Four stacks' worth of rows queued behind a live stack of b rows.
+        b = 250
+        assert self.em_peak(4 * b, stack_rows=b) <= 1.1 * self.em_peak(b, stack_rows=b)
 
 
 class TestDegenerateContract:
@@ -670,8 +728,9 @@ class TestBatchedBootstrap:
 
     def test_memory_stays_bounded(self):
         # Unblocked, the draws and the multiplicity matrix of 500 resamples
-        # of 10^5 units would take 400 MB each.  Measured peak: 40.4 MiB, of
-        # which the float64 copy of W is 38 MiB.
+        # of 10^5 units would take 400 MB each.  Measured peak: 20.2 MiB, of
+        # which the float32 copy of W is 19 MiB (a float64 copy made it
+        # 40.4 MiB).
         t = 10 ** 5
         pi = np.logspace(-5, -0.5, 50)[:, None]
         matrix = from_rows(np.random.default_rng(1).random((50, t)) < pi)
@@ -682,7 +741,61 @@ class TestBatchedBootstrap:
         finally:
             tracemalloc.stop()
         assert kept == 500
-        assert peak < 64 * 2 ** 20
+        assert peak < 32 * 2 ** 20
+
+
+def oracle_estimate(matrix, method, level, seed, b):
+    """``estimate`` one job at a time: ``point_estimate``, then the analytic
+    interval or the per-resample ``loop_bootstrap_ci``, clamped to hold the
+    point."""
+    counts = frequency_counts(matrix)
+    point, status, diagnostics = point_estimate(counts, method)
+    if status == "failed":
+        return estimators._failed(method, level, diagnostics.get("reason", "failed"))
+    diagnostics = dict(diagnostics)
+    if level == 0.0:
+        diagnostics["ci"] = "point"
+        return EstimateWithCI(method, point, point, point, level, status, diagnostics)
+    var = (estimators._chao_type_variance(counts, method, point)
+           if method in estimators.ANALYTIC_CI_METHODS else None)
+    if var is not None:
+        lo, hi = estimators._normal_ci(point, counts.s_obs, var, level)
+        diagnostics["ci"] = "analytic-normal-truncated"
+        diagnostics["variance"] = var
+    else:
+        lo, hi, kept, failed = loop_bootstrap_ci(matrix, method, level, seed, b, point)
+        diagnostics["ci"] = "unit-bootstrap-percentile"
+        diagnostics["bootstrap_resamples"] = kept
+        diagnostics["bootstrap_failed"] = failed
+    return EstimateWithCI(method, point, min(lo, point), max(hi, point), level, status,
+                          diagnostics)
+
+
+class TestEstimateMany:
+    """A batch of estimate jobs against the jobs estimated one at a time."""
+
+    @given(st.lists(units_strategy.filter(any), min_size=1, max_size=3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_equals_jobs_alone(self, logs, data):
+        matrices = [build_incidence_matrix(units) for units in logs]
+        # Checkpoints of the logs, every method, several seeds; a small b
+        # makes the NPMLE jobs' resamples overflow the live EM stack.
+        picks = data.draw(st.lists(st.tuples(st.sampled_from(matrices), st.integers(1, 15),
+                                             st.sampled_from(ALL_METHODS),
+                                             st.integers(0, 2 ** 32)),
+                                   min_size=1, max_size=12))
+        jobs = [(head(m, t), method, seed) for m, t, method, seed in picks]
+        level = data.draw(st.sampled_from([0.0, 0.5, 0.9]))
+        b = data.draw(st.integers(1, 12))
+        batch = estimate_many(jobs, level, boot_b=b)
+        assert len(batch) == len(jobs)
+        for (matrix, method, seed), est in zip(jobs, batch):
+            assert repr(est) == repr(oracle_estimate(matrix, method, level, seed, b))
+
+    def test_wrappers_are_batches_of_one(self, fixture_matrix):
+        batch = estimate_many([(fixture_matrix, m, 5) for m in ALL_METHODS], 0.9, boot_b=30)
+        assert repr(estimate_all(fixture_matrix, seed=5, boot_b=30)) == repr(batch)
+        assert repr(estimate(fixture_matrix, "unpmle", seed=5, boot_b=30)) == repr(batch[-2])
 
 
 def frequencies(t):
