@@ -7,6 +7,17 @@ master seed.  Every stage is deterministic: sub-seeds are derived as
 sha256(master, purpose-label, index), and re-running a finished stage is
 skipped when its outputs and config digest are unchanged.
 
+The fuzzing campaigns of ``run`` and ``fuzz`` run on a ``fork`` process
+pool of ``min(usable CPUs, campaigns)`` workers (the CPUs of
+``os.sched_getaffinity``, else ``os.cpu_count()``).  A campaign depends only
+on its own derived seeds, so where it runs cannot change what it finds, and
+the parent writes the results in (program, trial) order: the artifacts are
+byte-identical whatever the worker count.  Workers inherit the compiled
+programs through ``fork``; each returns only a campaign's units text, its
+incidence matrix and a few summary numbers.  With one worker, or where
+``fork`` is unavailable, the same function runs in this process.  Stage 1
+(generate, compile, export) stays serial.
+
 Exit codes: 0 success, 1 config error, 2 runtime failure, 3 partial.
 """
 
@@ -17,32 +28,38 @@ import csv
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .codegen import (
+    ParserProgram,
     compile_to_parser,
     cyclomatic_complexity,
     element_manifest,
     export_c_source,
 )
 from .estimators import ALL_METHODS, check_level, estimate_many
-from .evaluation import check_alpha, rq1_report, sensitivity_analysis
+from .evaluation import check_alpha, check_unit_sizes, rq1_report, sensitivity_analysis
 from .fuzzer import (
     CampaignConfig,
     MutationPolicy,
+    check_count,
     generate_seed_corpus,
     parse_units,
     run_campaign,
     serialize_units,
 )
-from .grammar import parse_grammar, serialize_grammar
+from .grammar import Grammar, parse_grammar, serialize_grammar
 from .grammargen import GenConfig, generate_grammar, parse_label, serialize_label
-from .incidence import build_incidence_matrix, from_dense_csv, head, rebin
+from .incidence import IncidenceMatrix, build_incidence_matrix, from_dense_csv, head, rebin
 
 log = logging.getLogger(__name__)
 
@@ -126,6 +143,90 @@ def _campaign_config_from_dict(d: dict, trial_seed=None) -> CampaignConfig:
 
 
 # ---------------------------------------------------------------------------
+# Fuzzing campaigns on a worker pool
+# ---------------------------------------------------------------------------
+
+class CampaignJob(NamedTuple):
+    grammar: Grammar
+    program: ParserProgram
+    n_seeds: int
+    max_depth: int
+    corpus_seed: int
+    config: CampaignConfig
+
+
+class CampaignResult(NamedTuple):
+    units_text: str  # serialize_units of the campaign's unit coverage
+    matrix: IncidenceMatrix
+    executions_per_second: float  # timed inside the worker
+    final_corpus_size: int
+
+
+def _fuzz_campaign(job: CampaignJob) -> CampaignResult:
+    """Seed corpus, campaign and incidence matrix of one (program, trial)."""
+    corpus = generate_seed_corpus(job.grammar, job.n_seeds, job.max_depth, job.corpus_seed)
+    clog = run_campaign(job.program, corpus, job.config)
+    return CampaignResult(serialize_units(clog.unit_coverage),
+                          build_incidence_matrix(clog.unit_coverage),
+                          clog.executions_per_second, clog.final_corpus_size)
+
+
+_worker_jobs = ()  # set in each pool worker by _adopt_jobs, inherited by fork
+
+
+def _adopt_jobs(jobs):
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _fuzz_job(index: int) -> CampaignResult:
+    return _fuzz_campaign(_worker_jobs[index])
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fuzz_workers(n_jobs: int) -> int:
+    """One worker per usable CPU, never more than there are campaigns."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return min(1, n_jobs)
+    return min(_available_cpus(), n_jobs)
+
+
+def _in_order(futures):
+    """Each future's ``result``, in order; a future is let go once handed out."""
+    futures.reverse()
+    while futures:
+        yield futures.pop().result
+
+
+@contextmanager
+def _campaign_results(jobs, workers: int):
+    """One callable per job, in job order, returning its CampaignResult or
+    raising what the campaign raised.
+
+    With two or more workers the jobs run on a ``fork`` pool as soon as it
+    starts; only the job's index crosses the pipe, and the worker finds the
+    job in the list it inherited.  Otherwise each callable runs its job in
+    this process when called.  Leaving the block cancels what has not
+    started and waits for the pool's workers to exit.
+    """
+    if workers < 2:
+        yield (partial(_fuzz_campaign, job) for job in jobs)
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt_jobs, initargs=(jobs,))
+    try:
+        yield _in_order([pool.submit(_fuzz_job, i) for i in range(len(jobs))])
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# ---------------------------------------------------------------------------
 # Individual subcommands
 # ---------------------------------------------------------------------------
 
@@ -199,33 +300,34 @@ def _load_program_dir(program_dir):
 def cmd_fuzz(args) -> int:
     grammar, program = _load_program_dir(args.program)
     out = Path(args.out)
+    jobs = [
+        CampaignJob(grammar, program, args.n_seeds, args.max_depth,
+                    derive_seed(args.seed, "seeds", k),
+                    CampaignConfig(trial_seed=derive_seed(args.seed, "campaign", k),
+                                   budget_n=args.budget, unit_size_r=args.unit_size))
+        for k in range(args.trials)
+    ]
     failures = 0
-    for k in range(args.trials):
-        trial_seed = derive_seed(args.seed, "campaign", k)
-        corpus = generate_seed_corpus(
-            grammar, args.n_seeds, args.max_depth, derive_seed(args.seed, "seeds", k)
-        )
-        config = CampaignConfig(
-            trial_seed=trial_seed, budget_n=args.budget, unit_size_r=args.unit_size
-        )
-        try:
-            clog = run_campaign(program, corpus, config)
-        except Exception:
-            log.exception("trial %d failed", k)
-            failures += 1
-            continue
-        _write(out / f"trial{k:03d}.units.txt", serialize_units(clog.unit_coverage))
-        summary = {
-            "trial": k,
-            "t": clog.t,
-            "unit_size_r": clog.unit_size_r,
-            "discovered": len(clog.discovered()),
-            "executions_per_second": round(clog.executions_per_second, 1),
-            "final_corpus_size": clog.final_corpus_size,
-            "budget_n": args.budget,
-            "trial_seed": trial_seed,
-        }
-        _write(out / f"trial{k:03d}.summary.json", json.dumps(summary, indent=2) + "\n")
+    with _campaign_results(jobs, _fuzz_workers(len(jobs))) as results:
+        for k, (job, result) in enumerate(zip(jobs, results)):
+            try:
+                res = result()
+            except Exception:
+                log.exception("trial %d failed", k)
+                failures += 1
+                continue
+            _write(out / f"trial{k:03d}.units.txt", res.units_text)
+            summary = {
+                "trial": k,
+                "t": res.matrix.t,
+                "unit_size_r": job.config.unit_size_r,
+                "discovered": len(res.matrix.element_ids),
+                "executions_per_second": round(res.executions_per_second, 1),
+                "final_corpus_size": res.final_corpus_size,
+                "budget_n": args.budget,
+                "trial_seed": job.config.trial_seed,
+            }
+            _write(out / f"trial{k:03d}.summary.json", json.dumps(summary, indent=2) + "\n")
     if failures == args.trials:
         return EXIT_RUNTIME
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -362,12 +464,26 @@ def run_experiment(config: dict, out_dir) -> int:
     """Generate -> compile -> fuzz -> estimate -> evaluate -> sensitivity."""
     cfg = dict(DEFAULT_EXPERIMENT)
     cfg.update(config)
+    # Every check runs before the first write or fork.
     level = cfg["ci_level"]
     check_level(level)
     check_alpha(cfg["alpha"])
+    for key in ("n_programs", "trials_k", "n_seeds", "max_depth", "bootstrap_b"):
+        check_count(key, cfg[key])
+    master = cfg["master_seed"]
+    campaigns = [
+        [_campaign_config_from_dict(cfg["campaign"],
+                                    trial_seed=derive_seed(master, f"campaign:{b}", k))
+         for k in range(cfg["trials_k"])]
+        for b in range(cfg["n_programs"])
+    ]
+    for trials in campaigns:
+        for camp in trials:
+            camp.validate()
+    base_r = campaigns[0][0].unit_size_r
+    check_unit_sizes(cfg["unit_sizes"], base_r)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    master = cfg["master_seed"]
     methods = ALL_METHODS if cfg["estimators"] == "all" else tuple(cfg["estimators"])
     timings = {}
     manifest = {"version": __version__, "config": cfg, "stages": {}, "artifacts": {}}
@@ -401,32 +517,32 @@ def run_experiment(config: dict, out_dir) -> int:
             _stage_mark(gsub, cfg_digest)
     timings["generate"] = time.perf_counter() - t0
 
-    # Stage 2: fuzzing campaigns.
+    # Stage 2: fuzzing campaigns, on the worker pool; results in (b, k) order.
     t0 = time.perf_counter()
     idir = out / "incidence"
-    base_r = cfg["campaign"]["unit_size_r"]
+    done = [_stage_done(idir / f"prog{b:03d}", cfg_digest) for b in range(cfg["n_programs"])]
+    jobs = [
+        CampaignJob(grammar, program, cfg["n_seeds"], cfg["max_depth"],
+                    derive_seed(master, f"seeds:{b}", k), camp)
+        for b, (grammar, _, program) in enumerate(programs) if not done[b]
+        for k, camp in enumerate(campaigns[b])
+    ]
+    manifest["fuzz_workers"] = workers = _fuzz_workers(len(jobs))
     all_logs = {}
-    for b, (grammar, label, program) in enumerate(programs):
-        psub = idir / f"prog{b:03d}"
-        logs = []
-        if _stage_done(psub, cfg_digest):
+    with _campaign_results(jobs, workers) as results:
+        for b in range(cfg["n_programs"]):
+            psub = idir / f"prog{b:03d}"
+            if done[b]:
+                all_logs[b] = [build_incidence_matrix(parse_units(
+                    _read(psub / f"trial{k:03d}.units.txt"))) for k in range(cfg["trials_k"])]
+                continue
+            logs = []
             for k in range(cfg["trials_k"]):
-                logs.append(build_incidence_matrix(
-                    parse_units(_read(psub / f"trial{k:03d}.units.txt"))))
-        else:
-            for k in range(cfg["trials_k"]):
-                corpus = generate_seed_corpus(
-                    grammar, cfg["n_seeds"], cfg["max_depth"],
-                    derive_seed(master, f"seeds:{b}", k),
-                )
-                camp = _campaign_config_from_dict(
-                    cfg["campaign"], trial_seed=derive_seed(master, f"campaign:{b}", k)
-                )
-                clog = run_campaign(program, corpus, camp)
-                _write(psub / f"trial{k:03d}.units.txt", serialize_units(clog.unit_coverage))
-                logs.append(build_incidence_matrix(clog.unit_coverage))
+                res = next(results)()
+                _write(psub / f"trial{k:03d}.units.txt", res.units_text)
+                logs.append(res.matrix)
             _stage_mark(psub, cfg_digest)
-        all_logs[b] = logs
+            all_logs[b] = logs
     timings["fuzz"] = time.perf_counter() - t0
 
     # Stage 3: estimates at checkpoints.

@@ -164,6 +164,20 @@ def check_alpha(alpha):
         raise EvaluationError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def check_unit_sizes(unit_sizes, base_r):
+    """Reject unit sizes that rebinning logs of unit size ``base_r`` cannot give."""
+    if not isinstance(unit_sizes, (list, tuple)) or len(unit_sizes) < 2:
+        raise EvaluationError("need at least two unit sizes")
+    if not all(isinstance(r, numbers.Integral) and not isinstance(r, bool)
+               for r in (base_r, *unit_sizes)):
+        raise EvaluationError("unit sizes must be integers")
+    if base_r < 1 or min(unit_sizes) < 1:
+        raise EvaluationError("unit size must be >= 1")
+    for r in unit_sizes:
+        if r % base_r:
+            raise EvaluationError(f"unit size {r} is not a multiple of base {base_r}")
+
+
 def _is_normal(sample, alpha):
     if len(set(sample)) == 1:
         return False  # constant: Shapiro undefined; treat as non-normal
@@ -191,14 +205,8 @@ def sensitivity_analysis(
     and is realized by rebinning the same base logs.  Returns one
     SensitivityVerdict per (method, unit-size pair).
     """
-    if len(unit_sizes) < 2:
-        raise EvaluationError("need at least two unit sizes")
+    check_unit_sizes(unit_sizes, base_r)
     check_alpha(alpha)
-    if base_r < 1 or min(unit_sizes) < 1:
-        raise EvaluationError("unit size must be >= 1")
-    for r in unit_sizes:
-        if r % base_r:
-            raise EvaluationError(f"unit size {r} is not a multiple of base {base_r}")
     jobs = []
     for r in unit_sizes:
         m = r // base_r

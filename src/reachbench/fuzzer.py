@@ -11,6 +11,7 @@ makes every trial reproducible from its seed.
 from __future__ import annotations
 
 import logging
+import numbers
 import random
 import time
 from dataclasses import dataclass, field
@@ -23,6 +24,12 @@ log = logging.getLogger(__name__)
 
 class CampaignError(ValueError):
     pass
+
+
+def check_count(name, value):
+    """Reject a count setting that is not an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise CampaignError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +61,8 @@ class CampaignConfig:
     step_budget: int = 1_000_000
 
     def validate(self):
-        if self.budget_n <= 0:
-            raise CampaignError("budget_n must be > 0")
-        if self.unit_size_r < 1:
-            raise CampaignError("unit_size_r must be >= 1")
+        check_count("budget_n", self.budget_n)
+        check_count("unit_size_r", self.unit_size_r)
         self.policy.validate()
 
 

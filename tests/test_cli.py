@@ -3,19 +3,23 @@
 import csv
 import json
 import logging
+import multiprocessing
 import shutil
 from pathlib import Path
 
 import pytest
 
+import reachbench.cli as cli
 from reachbench.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_PARTIAL,
+    EXIT_RUNTIME,
     _write_csv,
     derive_seed,
     main,
 )
-from reachbench.fuzzer import parse_units
+from reachbench.fuzzer import CampaignError, parse_units
 
 from conftest import DATA_DIR
 
@@ -209,6 +213,18 @@ class TestExitCodes:
         ("ci_level", 1.0, "CI level must lie in [0, 1), got 1.0"),
         ("ci_level", "0.9", "CI level must lie in [0, 1), got 0.9"),
         ("alpha", 0.0, "alpha must lie in (0, 1), got 0.0"),
+        ("trials_k", "x", "trials_k must be an integer >= 1, got 'x'"),
+        ("n_programs", 0, "n_programs must be an integer >= 1, got 0"),
+        ("n_seeds", 2.5, "n_seeds must be an integer >= 1, got 2.5"),
+        ("max_depth", True, "max_depth must be an integer >= 1, got True"),
+        ("bootstrap_b", -1, "bootstrap_b must be an integer >= 1, got -1"),
+        ("campaign", {"budget_n": -5}, "budget_n must be an integer >= 1, got -5"),
+        ("campaign", {"unit_size_r": "10"}, "unit_size_r must be an integer >= 1, got '10'"),
+        # A partial campaign dict falls back to CampaignConfig's unit size, 100.
+        ("campaign", {"budget_n": 500}, "unit size 10 is not a multiple of base 100"),
+        ("unit_sizes", [7, 10], "unit size 7 is not a multiple of base 10"),
+        ("unit_sizes", [10], "need at least two unit sizes"),
+        ("unit_sizes", [10, "20"], "unit sizes must be integers"),
     ])
     def test_bad_run_levels_are_config_errors_before_any_work(self, tmp_path, caplog, key,
                                                               value, message):
@@ -271,3 +287,133 @@ class TestRun:
         assert main(["report", "--run", str(out)]) == EXIT_OK
         text = capsys.readouterr().out
         assert "chao2" in text and "bias=" in text
+
+    def test_partial_campaign_dict_takes_campaign_config_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(TINY_RUN, campaign={"budget_n": 1000},
+                                       unit_sizes=[100, 200])))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        units = parse_units((out / "incidence/prog000/trial000.units.txt").read_text())
+        assert len(units) == 10  # unit_size_r fell back to 100
+
+
+# ---------------------------------------------------------------------------
+# The campaign worker pool: one worker or two give the same files.
+# ---------------------------------------------------------------------------
+
+POOL_RUN = dict(TINY_RUN, n_programs=3)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(cli, "_available_cpus", lambda: n)
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def _fail_on(monkeypatch, trial_seed, exc):
+    real = cli.run_campaign
+
+    def run_campaign(program, corpus, config):
+        if config.trial_seed == trial_seed:
+            raise exc
+        return real(program, corpus, config)
+
+    monkeypatch.setattr(cli, "run_campaign", run_campaign)
+
+
+def test_worker_count_is_capped_by_cpus_and_campaigns(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert [cli._fuzz_workers(n) for n in (0, 1, 2, 6)] == [0, 1, 2, 2]
+    _cpus(monkeypatch, 1)
+    assert cli._fuzz_workers(6) == 1
+
+
+@pytest.fixture(scope="module")
+def program_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("prog")
+    assert main(["gen-grammar", "--seed", "3", "--out", str(base / "g")]) == EXIT_OK
+    assert main(["gen-parser", "--grammar", str(base / "g" / "grammar.txt"),
+                 "--label", str(base / "g" / "label.txt"), "--out", str(base / "p")]) == EXIT_OK
+    return base / "p"
+
+
+def _fuzz(program_dir, out):
+    return main(["fuzz", "--program", str(program_dir), "--trials", "3", "--budget", "300",
+                 "--unit-size", "10", "--seed", "2", "--out", str(out)])
+
+
+class TestCampaignPool:
+    def _run(self, tmp_path, monkeypatch, cpus, config=POOL_RUN):
+        _cpus(monkeypatch, cpus)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / f"run{cpus}"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert multiprocessing.active_children() == []
+        return rc, out
+
+    def test_run_artifacts_match_across_worker_counts(self, tmp_path, monkeypatch):
+        manifests = []
+        for cpus in (1, 2):
+            rc, out = self._run(tmp_path, monkeypatch, cpus)
+            assert rc == EXIT_OK
+            manifests.append(json.loads((out / "run_manifest.json").read_text()))
+        assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
+        assert len([a for a in manifests[0]["artifacts"] if a.endswith(".units.txt")]) == 6
+        assert [m["fuzz_workers"] for m in manifests] == [1, 2]
+
+    def test_resumed_run_fuzzes_nothing(self, tmp_path, monkeypatch):
+        _, out = self._run(tmp_path, monkeypatch, 2)
+        before = _files(out)
+        rc, _ = self._run(tmp_path, monkeypatch, 2)
+        assert rc == EXIT_OK
+        assert json.loads((out / "run_manifest.json").read_text())["fuzz_workers"] == 0
+        after = _files(out)
+        assert before.keys() == after.keys()
+        assert all(before[k] == after[k] for k in before if k != "run_manifest.json")
+
+    @pytest.mark.parametrize("exc,code", [(RuntimeError("boom"), EXIT_RUNTIME),
+                                          (CampaignError("bad campaign"), EXIT_CONFIG)],
+                             ids=["runtime", "config"])
+    def test_failing_campaign_stops_the_run_the_same_way(self, tmp_path, monkeypatch, exc,
+                                                         code):
+        _fail_on(monkeypatch, derive_seed(POOL_RUN["master_seed"], "campaign:1", 1), exc)
+        files = []
+        for cpus in (1, 2):
+            rc, out = self._run(tmp_path, monkeypatch, cpus)
+            assert rc == code
+            files.append(_files(out))
+        assert files[0] == files[1]
+        assert "incidence/prog001/trial000.units.txt" in files[0]
+        assert "incidence/prog001/trial001.units.txt" not in files[0]
+        assert "incidence/prog001/.stage.digest" not in files[0]
+        assert not any(name.startswith("incidence/prog002") for name in files[0])
+
+    def test_fuzz_units_match_across_worker_counts(self, tmp_path, monkeypatch, program_dir):
+        units = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            out = tmp_path / f"f{cpus}"
+            assert _fuzz(program_dir, out) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            units.append({p.name: p.read_bytes() for p in sorted(out.glob("*.units.txt"))})
+        assert len(units[0]) == 3 and units[0] == units[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fuzz_keeps_other_trials_when_one_fails(self, tmp_path, monkeypatch, program_dir,
+                                                    cpus):
+        _cpus(monkeypatch, cpus)
+        _fail_on(monkeypatch, derive_seed(2, "campaign", 1), RuntimeError("boom"))
+        out = tmp_path / "f"
+        assert _fuzz(program_dir, out) == EXIT_PARTIAL
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in out.iterdir()) == [
+            "trial000.summary.json", "trial000.units.txt",
+            "trial002.summary.json", "trial002.units.txt",
+        ]
+        summary = json.loads((out / "trial002.summary.json").read_text())
+        assert summary["t"] == 30 and summary["trial_seed"] == derive_seed(2, "campaign", 2)
