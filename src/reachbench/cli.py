@@ -7,16 +7,23 @@ master seed.  Every stage is deterministic: sub-seeds are derived as
 sha256(master, purpose-label, index), and re-running a finished stage is
 skipped when its outputs and config digest are unchanged.
 
-The fuzzing campaigns of ``run`` and ``fuzz`` run on a ``fork`` process
-pool of ``min(usable CPUs, campaigns)`` workers (the CPUs of
-``os.sched_getaffinity``, else ``os.cpu_count()``).  A campaign depends only
-on its own derived seeds, so where it runs cannot change what it finds, and
-the parent writes the results in (program, trial) order: the artifacts are
-byte-identical whatever the worker count.  Workers inherit the compiled
-programs through ``fork``; each returns only a campaign's units text, its
-incidence matrix and a few summary numbers.  With one worker, or where
-``fork`` is unavailable, the same function runs in this process.  Stage 1
-(generate, compile, export) stays serial.
+Three stages share one ``fork`` process pool of ``min(usable CPUs, jobs)``
+workers (the CPUs of ``os.sched_getaffinity``, else ``os.cpu_count()``):
+the fuzzing campaigns of ``run`` and ``fuzz``, one job per (program,
+trial); and the estimate batches of ``run``'s estimate and sensitivity
+stages and of the ``estimate`` and ``sensitivity`` commands, one job per
+estimator method.  A campaign depends only on its own derived seeds, and an
+estimate only on its own matrix, method and seed (the contract of
+``estimate_many``), so where a job runs cannot change its result; the
+parent takes the results in job order, so the artifacts are byte-identical
+whatever the worker count.  Workers inherit the function and its jobs
+through ``fork`` (compiled programs included); only a job's index goes to
+a worker, and each returns only its result: a campaign's units text,
+incidence matrix and a few summary numbers, or a method's estimates.  The
+rebinning and the verdicts of the sensitivity analysis stay in this
+process.  With one worker, or where ``fork`` is unavailable, the same
+function runs in this process.  Stage 1 (generate, compile, export) stays
+serial.  ``run`` writes each program's files before it starts the next.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure, 3 partial.
 """
@@ -34,6 +41,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -46,7 +54,7 @@ from .codegen import (
     element_manifest,
     export_c_source,
 )
-from .estimators import ALL_METHODS, check_level, estimate_many
+from .estimators import ALL_METHODS, check_level, check_methods, estimate_many
 from .evaluation import check_alpha, check_unit_sizes, rq1_report, sensitivity_analysis
 from .fuzzer import (
     CampaignConfig,
@@ -124,8 +132,18 @@ def _sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _known_keys(cls, d, what: str) -> dict:
+    """A copy of the JSON object ``d``, whose keys must be fields of ``cls``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+    return dict(d)
+
+
 def _gen_config_from_dict(d: dict, seed=None) -> GenConfig:
-    kw = dict(d)
+    kw = _known_keys(GenConfig, d, "generation")
     for key in ("rules_per_nonterminal", "rule_length"):
         if key in kw:
             kw[key] = tuple(kw[key])
@@ -135,15 +153,15 @@ def _gen_config_from_dict(d: dict, seed=None) -> GenConfig:
 
 
 def _campaign_config_from_dict(d: dict, trial_seed=None) -> CampaignConfig:
-    kw = dict(d)
-    policy = MutationPolicy(**kw.pop("policy", {}))
+    kw = _known_keys(CampaignConfig, d, "campaign")
+    policy = MutationPolicy(**_known_keys(MutationPolicy, kw.pop("policy", {}), "campaign.policy"))
     if trial_seed is not None:
         kw["trial_seed"] = trial_seed
     return CampaignConfig(policy=policy, **kw)
 
 
 # ---------------------------------------------------------------------------
-# Fuzzing campaigns on a worker pool
+# The worker pool, and the jobs it runs
 # ---------------------------------------------------------------------------
 
 class CampaignJob(NamedTuple):
@@ -171,16 +189,17 @@ def _fuzz_campaign(job: CampaignJob) -> CampaignResult:
                           clog.executions_per_second, clog.final_corpus_size)
 
 
-_worker_jobs = ()  # set in each pool worker by _adopt_jobs, inherited by fork
+_worker_task = (None, ())  # (function, jobs), set in each pool worker by _adopt_task
 
 
-def _adopt_jobs(jobs):
-    global _worker_jobs
-    _worker_jobs = jobs
+def _adopt_task(fn, jobs):
+    global _worker_task
+    _worker_task = fn, jobs
 
 
-def _fuzz_job(index: int) -> CampaignResult:
-    return _fuzz_campaign(_worker_jobs[index])
+def _run_job(index: int):
+    fn, jobs = _worker_task
+    return fn(jobs[index])
 
 
 def _available_cpus() -> int:
@@ -190,8 +209,8 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fuzz_workers(n_jobs: int) -> int:
-    """One worker per usable CPU, never more than there are campaigns."""
+def _pool_workers(n_jobs: int) -> int:
+    """One worker per usable CPU, never more than there are jobs."""
     if "fork" not in multiprocessing.get_all_start_methods():
         return min(1, n_jobs)
     return min(_available_cpus(), n_jobs)
@@ -205,25 +224,78 @@ def _in_order(futures):
 
 
 @contextmanager
-def _campaign_results(jobs, workers: int):
-    """One callable per job, in job order, returning its CampaignResult or
-    raising what the campaign raised.
+def _pool_results(fn, jobs):
+    """The worker count, and one callable per job, in job order, returning
+    ``fn(job)`` or raising what it raised.
 
     With two or more workers the jobs run on a ``fork`` pool as soon as it
-    starts; only the job's index crosses the pipe, and the worker finds the
-    job in the list it inherited.  Otherwise each callable runs its job in
-    this process when called.  Leaving the block cancels what has not
-    started and waits for the pool's workers to exit.
+    starts; only the job's index crosses the pipe, and the worker finds
+    ``fn`` and the job in what it inherited.  ``fork``, not ``spawn``: a
+    program's generated runner cannot be pickled, and a spawned worker would
+    import numpy and scipy again; reachbench starts no thread before it
+    forks.  Otherwise each callable runs its job in this process when
+    called.  Leaving the block cancels what has not started and waits for
+    the pool's workers to exit.
     """
+    workers = _pool_workers(len(jobs))
     if workers < 2:
-        yield (partial(_fuzz_campaign, job) for job in jobs)
+        yield workers, (partial(fn, job) for job in jobs)
         return
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt_jobs, initargs=(jobs,))
+                               initializer=_adopt_task, initargs=(fn, jobs))
     try:
-        yield _in_order([pool.submit(_fuzz_job, i) for i in range(len(jobs))])
+        yield workers, _in_order([pool.submit(_run_job, i) for i in range(len(jobs))])
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _estimate_shard(shard) -> list:
+    """``estimate_many`` of one method's (matrix, method, seed) jobs."""
+    jobs, level, kw = shard
+    return estimate_many(jobs, level, **kw)
+
+
+def _estimates(jobs, level: float = 0.90, **kw) -> list:
+    """``estimate_many(jobs, level, **kw)``, one method per job on the pool.
+
+    The jobs are split by method, in order of first appearance, and each
+    method's jobs are one ``estimate_many`` batch, so an NPMLE still fits
+    all its jobs' resamples in one queued EM.  An estimate does not depend
+    on the batch it is in, so the results, put back in job order, are the
+    same as from one batch of every job.  The level and method names are
+    checked here, before any worker starts.
+    """
+    check_level(level)
+    by_method = {}
+    for i, (_, method, _) in enumerate(jobs):
+        by_method.setdefault(method, []).append(i)
+    check_methods(by_method)
+    ests = [None] * len(jobs)
+    shards = [([jobs[i] for i in members], level, kw) for members in by_method.values()]
+    with _pool_results(_estimate_shard, shards) as (_, results):
+        for members, result in zip(by_method.values(), results):
+            for i, est in zip(members, result()):
+                ests[i] = est
+    return ests
+
+
+def _estimate_rows(jobs, level, boot_b=500):
+    """One estimate-CSV row per (matrix, method, seed) job, in job order."""
+    return [
+        {
+            "method": est.method,
+            "t": matrix.t,
+            "point": est.point,
+            "ci_low": est.ci_low,
+            "ci_high": est.ci_high,
+            "status": est.status,
+            "diagnostics": json.dumps(
+                {k: v for k, v in est.diagnostics.items() if k != "support"},
+                sort_keys=True, default=str,
+            ),
+        }
+        for (matrix, _, _), est in zip(jobs, _estimates(jobs, level, boot_b=boot_b))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +380,7 @@ def cmd_fuzz(args) -> int:
         for k in range(args.trials)
     ]
     failures = 0
-    with _campaign_results(jobs, _fuzz_workers(len(jobs))) as results:
+    with _pool_results(_fuzz_campaign, jobs) as (_, results):
         for k, (job, result) in enumerate(zip(jobs, results)):
             try:
                 res = result()
@@ -338,25 +410,6 @@ def cmd_rebin(args) -> int:
     matrix = rebin(build_incidence_matrix(units), args.merge)
     _write(args.out, serialize_units(matrix.units()))
     return EXIT_OK
-
-
-def _estimate_rows(jobs, level, boot_b=500):
-    """One estimate-CSV row per (matrix, method, seed) job, from one batch."""
-    return [
-        {
-            "method": est.method,
-            "t": matrix.t,
-            "point": est.point,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "status": est.status,
-            "diagnostics": json.dumps(
-                {k: v for k, v in est.diagnostics.items() if k != "support"},
-                sort_keys=True, default=str,
-            ),
-        }
-        for (matrix, _, _), est in zip(jobs, estimate_many(jobs, level, boot_b=boot_b))
-    ]
 
 
 def cmd_estimate(args) -> int:
@@ -394,7 +447,7 @@ def cmd_sensitivity(args) -> int:
     methods = ALL_METHODS if args.methods == "all" else tuple(args.methods.split(","))
     verdicts = sensitivity_analysis(
         trials, unit_sizes, methods, alpha=args.alpha, level=args.level,
-        base_r=unit_sizes[0], seed=args.seed,
+        base_r=unit_sizes[0], seed=args.seed, batch=_estimates,
     )
     _write_verdicts(args.out, verdicts)
     return EXIT_OK
@@ -482,9 +535,27 @@ def run_experiment(config: dict, out_dir) -> int:
             camp.validate()
     base_r = campaigns[0][0].unit_size_r
     check_unit_sizes(cfg["unit_sizes"], base_r)
+    gens = [_gen_config_from_dict(cfg["generation"], seed=derive_seed(master, "grammar", b))
+            for b in range(cfg["n_programs"])]
+    for gen in gens:
+        gen.validate()
+    methods = cfg["estimators"]
+    if methods == "all":
+        methods = ALL_METHODS
+    elif isinstance(methods, list) and methods:
+        methods = tuple(methods)
+        check_methods(methods)
+    else:
+        raise ValueError(
+            f"estimators must be 'all' or a non-empty list of method names, got {methods!r}")
+    if cfg["checkpoints"] is not None:
+        if not isinstance(cfg["checkpoints"], list):
+            raise ValueError("checkpoints must be a list of unit counts, "
+                             f"got {cfg['checkpoints']!r}")
+        for t_cp in cfg["checkpoints"]:
+            check_count("checkpoints", t_cp)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    methods = ALL_METHODS if cfg["estimators"] == "all" else tuple(cfg["estimators"])
     timings = {}
     manifest = {"version": __version__, "config": cfg, "stages": {}, "artifacts": {}}
     cfg_digest = hashlib.sha256(
@@ -496,9 +567,8 @@ def run_experiment(config: dict, out_dir) -> int:
     t0 = time.perf_counter()
     gdir = out / "grammars"
     programs = []
-    for b in range(cfg["n_programs"]):
+    for b, gen in enumerate(gens):
         gsub = gdir / f"prog{b:03d}"
-        gen = _gen_config_from_dict(cfg["generation"], seed=derive_seed(master, "grammar", b))
         grammar, label = generate_grammar(gen)
         program = compile_to_parser(grammar, label)
         programs.append((grammar, label, program))
@@ -527,9 +597,9 @@ def run_experiment(config: dict, out_dir) -> int:
         for b, (grammar, _, program) in enumerate(programs) if not done[b]
         for k, camp in enumerate(campaigns[b])
     ]
-    manifest["fuzz_workers"] = workers = _fuzz_workers(len(jobs))
     all_logs = {}
-    with _campaign_results(jobs, workers) as results:
+    with _pool_results(_fuzz_campaign, jobs) as (workers, results):
+        manifest["fuzz_workers"] = workers
         for b in range(cfg["n_programs"]):
             psub = idir / f"prog{b:03d}"
             if done[b]:
@@ -545,9 +615,11 @@ def run_experiment(config: dict, out_dir) -> int:
             all_logs[b] = logs
     timings["fuzz"] = time.perf_counter() - t0
 
-    # Stage 3: estimates at checkpoints.
+    # Stage 3: estimates at checkpoints.  A method's jobs are one pool job.
     t0 = time.perf_counter()
     edir = out / "estimates"
+    shard_workers = _pool_workers(len(set(methods)))
+    manifest["estimate_workers"] = 0
     for b, (grammar, label, program) in enumerate(programs):
         esub = edir / f"prog{b:03d}"
         if _stage_done(esub, cfg_digest):
@@ -564,6 +636,7 @@ def run_experiment(config: dict, out_dir) -> int:
                 jobs += [(matrix, m, seed) for m in methods]
             per_trial.append(len(checkpoints) * len(methods))
         rows = iter(_estimate_rows(jobs, level, boot_b=cfg["bootstrap_b"]))
+        manifest["estimate_workers"] = shard_workers
         for k, n_rows in enumerate(per_trial):
             _write_csv(esub / f"trial{k:03d}.csv", ESTIMATE_FIELDS,
                        [next(rows) for _ in range(n_rows)])
@@ -581,12 +654,13 @@ def run_experiment(config: dict, out_dir) -> int:
 
     # Stage 5: RQ2 sensitivity on rebinned logs.
     t0 = time.perf_counter()
+    manifest["sensitivity_workers"] = shard_workers if all_logs else 0
     for b in all_logs:
         verdicts = sensitivity_analysis(
             all_logs[b], cfg["unit_sizes"], methods,
             alpha=cfg["alpha"], level=level, base_r=base_r,
             seed=derive_seed(master, f"sensitivity:{b}"),
-            boot_b=cfg["bootstrap_b"],
+            batch=_estimates, boot_b=cfg["bootstrap_b"],
         )
         _write_verdicts(out / f"verdicts_prog{b:03d}.csv", verdicts)
     timings["sensitivity"] = time.perf_counter() - t0

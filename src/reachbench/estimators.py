@@ -645,8 +645,7 @@ def point_estimates(counts_list, method: str, *, em_config: EMConfig = None, sta
     result is the same as fitting that vector alone.  A closed form scores
     each vector as a batch of one.
     """
-    if method not in ALL_METHODS:
-        raise ValueError(f"unknown estimator {method!r}")
+    check_methods((method,))
     if method in ("unpmle", "pnpmle"):
         return _npmle(counts_list, method == "pnpmle", em_config or EMConfig(), stack_rows)
     return [_row(_closed_form(_rows(c.t, np.array(c.y, dtype=np.int64).reshape(1, -1)), method), 0)
@@ -661,6 +660,13 @@ def check_level(level):
     """Reject a CI level outside [0, 1); level 0 asks for point intervals."""
     if not isinstance(level, numbers.Real) or not 0.0 <= level < 1.0:
         raise ValueError(f"CI level must lie in [0, 1), got {level}")
+
+
+def check_methods(methods):
+    """Reject a method name that is not one of ``ALL_METHODS``."""
+    for method in methods:
+        if method not in ALL_METHODS:
+            raise ValueError(f"unknown estimator {method!r}")
 
 
 def _chao_type_variance(c: FrequencyCounts, method: str, point: float):
@@ -788,8 +794,7 @@ def _bootstrap_many(jobs, level, b):
     values = [None] * len(jobs)
     mixtures = {"unpmle": [], "pnpmle": []}
     for j, (matrix, method, seed, _) in enumerate(jobs):
-        if method not in ALL_METHODS:
-            raise ValueError(f"unknown estimator {method!r}")
+        check_methods((method,))
         if method in mixtures:
             mixtures[method].append(j)
             continue

@@ -196,6 +196,7 @@ def sensitivity_analysis(
     level: float = 0.90,
     base_r: int = 1,
     seed: int = 0,
+    batch=estimate_many,
     **est_kw,
 ):
     """RQ2: estimator stability under sampling-unit rebinning.
@@ -203,7 +204,9 @@ def sensitivity_analysis(
     ``trials`` is a list of one IncidenceMatrix per trial (equal-length
     campaigns); each requested unit size r must be a multiple of ``base_r``
     and is realized by rebinning the same base logs.  Returns one
-    SensitivityVerdict per (method, unit-size pair).
+    SensitivityVerdict per (method, unit-size pair).  ``batch`` makes the
+    estimates: ``estimate_many``, or a function with its arguments and
+    results, which gets ``est_kw``.
     """
     check_unit_sizes(unit_sizes, base_r)
     check_alpha(alpha)
@@ -213,7 +216,7 @@ def sensitivity_analysis(
         binned = [rebin(mat, m) if m > 1 else mat for mat in trials]
         jobs += [(mat, method, seed + i) for method in methods for i, mat in enumerate(binned)]
     # One estimate batch for every (size, method, trial), in that order.
-    ests = iter(estimate_many(jobs, level, **est_kw))
+    ests = iter(batch(jobs, level, **est_kw))
     per_size = {r: {method: [next(ests) for _ in trials] for method in methods}
                 for r in unit_sizes}
 

@@ -1,6 +1,7 @@
 """CLI subcommands: stage-by-stage smoke tests, exit codes, run determinism."""
 
 import csv
+import io
 import json
 import logging
 import multiprocessing
@@ -19,7 +20,10 @@ from reachbench.cli import (
     derive_seed,
     main,
 )
+from reachbench.estimators import estimate, estimate_all
+from reachbench.evaluation import sensitivity_analysis
 from reachbench.fuzzer import CampaignError, parse_units
+from reachbench.incidence import build_incidence_matrix
 
 from conftest import DATA_DIR
 
@@ -225,6 +229,14 @@ class TestExitCodes:
         ("unit_sizes", [7, 10], "unit size 7 is not a multiple of base 10"),
         ("unit_sizes", [10], "need at least two unit sizes"),
         ("unit_sizes", [10, "20"], "unit sizes must be integers"),
+        ("campaign", {"budget_n": 500, "foo": 1}, "unknown campaign key(s): 'foo'"),
+        ("campaign", {"policy": {"bar": 1}}, "unknown campaign.policy key(s): 'bar'"),
+        ("generation", {"baz": 1, "abc": 2}, "unknown generation key(s): 'abc', 'baz'"),
+        ("estimators", ["jk1", "nope"], "unknown estimator 'nope'"),
+        ("estimators", "jk1",
+         "estimators must be 'all' or a non-empty list of method names, got 'jk1'"),
+        ("checkpoints", [5, 0], "checkpoints must be an integer >= 1, got 0"),
+        ("checkpoints", "10", "checkpoints must be a list of unit counts, got '10'"),
     ])
     def test_bad_run_levels_are_config_errors_before_any_work(self, tmp_path, caplog, key,
                                                               value, message):
@@ -299,7 +311,7 @@ class TestRun:
 
 
 # ---------------------------------------------------------------------------
-# The campaign worker pool: one worker or two give the same files.
+# The worker pool: one worker or two give the same files.
 # ---------------------------------------------------------------------------
 
 POOL_RUN = dict(TINY_RUN, n_programs=3)
@@ -327,9 +339,9 @@ def _fail_on(monkeypatch, trial_seed, exc):
 
 def test_worker_count_is_capped_by_cpus_and_campaigns(monkeypatch):
     _cpus(monkeypatch, 2)
-    assert [cli._fuzz_workers(n) for n in (0, 1, 2, 6)] == [0, 1, 2, 2]
+    assert [cli._pool_workers(n) for n in (0, 1, 2, 6)] == [0, 1, 2, 2]
     _cpus(monkeypatch, 1)
-    assert cli._fuzz_workers(6) == 1
+    assert cli._pool_workers(6) == 1
 
 
 @pytest.fixture(scope="module")
@@ -346,20 +358,21 @@ def _fuzz(program_dir, out):
                  "--unit-size", "10", "--seed", "2", "--out", str(out)])
 
 
-class TestCampaignPool:
-    def _run(self, tmp_path, monkeypatch, cpus, config=POOL_RUN):
-        _cpus(monkeypatch, cpus)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        out = tmp_path / f"run{cpus}"
-        rc = main(["run", "--config", str(cfg), "--out", str(out)])
-        assert multiprocessing.active_children() == []
-        return rc, out
+def _pool_run(tmp_path, monkeypatch, cpus, config=POOL_RUN):
+    _cpus(monkeypatch, cpus)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / f"run{cpus}"
+    rc = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert multiprocessing.active_children() == []
+    return rc, out
 
+
+class TestCampaignPool:
     def test_run_artifacts_match_across_worker_counts(self, tmp_path, monkeypatch):
         manifests = []
         for cpus in (1, 2):
-            rc, out = self._run(tmp_path, monkeypatch, cpus)
+            rc, out = _pool_run(tmp_path, monkeypatch, cpus)
             assert rc == EXIT_OK
             manifests.append(json.loads((out / "run_manifest.json").read_text()))
         assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
@@ -367,9 +380,9 @@ class TestCampaignPool:
         assert [m["fuzz_workers"] for m in manifests] == [1, 2]
 
     def test_resumed_run_fuzzes_nothing(self, tmp_path, monkeypatch):
-        _, out = self._run(tmp_path, monkeypatch, 2)
+        _, out = _pool_run(tmp_path, monkeypatch, 2)
         before = _files(out)
-        rc, _ = self._run(tmp_path, monkeypatch, 2)
+        rc, _ = _pool_run(tmp_path, monkeypatch, 2)
         assert rc == EXIT_OK
         assert json.loads((out / "run_manifest.json").read_text())["fuzz_workers"] == 0
         after = _files(out)
@@ -384,7 +397,7 @@ class TestCampaignPool:
         _fail_on(monkeypatch, derive_seed(POOL_RUN["master_seed"], "campaign:1", 1), exc)
         files = []
         for cpus in (1, 2):
-            rc, out = self._run(tmp_path, monkeypatch, cpus)
+            rc, out = _pool_run(tmp_path, monkeypatch, cpus)
             assert rc == code
             files.append(_files(out))
         assert files[0] == files[1]
@@ -417,3 +430,153 @@ class TestCampaignPool:
         ]
         summary = json.loads((out / "trial002.summary.json").read_text())
         assert summary["t"] == 30 and summary["trial_seed"] == derive_seed(2, "campaign", 2)
+
+
+# Method shards of the estimate and sensitivity stages.
+SHARD_RUN = dict(TINY_RUN, n_programs=2, estimators=["chao2", "unpmle", "pnpmle", "jk1"],
+                 bootstrap_b=20)
+
+
+def _fail_shard(monkeypatch, method, seeds, exc):
+    """Make the estimate batch of ``method`` raise ``exc`` when it has a job
+    with one of ``seeds``."""
+    real = cli.estimate_many
+
+    def fail(jobs, *args, **kwargs):
+        if any(m == method and seed in seeds for _, m, seed in jobs):
+            raise exc
+        return real(jobs, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_many", fail)
+
+
+def _no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+
+
+class TestMethodShards:
+    def test_run_artifacts_match_across_worker_counts(self, tmp_path, monkeypatch):
+        manifests, files = [], []
+        for cpus in (1, 2):
+            rc, out = _pool_run(tmp_path, monkeypatch, cpus, SHARD_RUN)
+            assert rc == EXIT_OK
+            manifests.append(json.loads((out / "run_manifest.json").read_text()))
+            files.append({k: v for k, v in _files(out).items() if k != "run_manifest.json"})
+        assert files[0] == files[1]
+        assert [(m["estimate_workers"], m["sensitivity_workers"]) for m in manifests] == [
+            (1, 1), (2, 2)]
+        # A row is its own job's estimate, wherever the job ran.
+        trial = build_incidence_matrix(parse_units(
+            (tmp_path / "run2/incidence/prog001/trial001.units.txt").read_text()))
+        rows = list(csv.DictReader((tmp_path / "run2/estimates/prog001/trial001.csv").open()))
+        assert [r["method"] for r in rows[-4:]] == SHARD_RUN["estimators"]
+        est = estimate(trial, "unpmle", 0.9, boot_b=20,
+                       seed=derive_seed(SHARD_RUN["master_seed"], f"ci:1:{trial.t}", 1))
+        assert ([float(rows[-3][f]) for f in ("point", "ci_low", "ci_high")]
+                == [est.point, est.ci_low, est.ci_high])
+        trials = [build_incidence_matrix(parse_units(
+            (tmp_path / f"run2/incidence/prog001/trial{k:03d}.units.txt").read_text()))
+            for k in range(2)]
+        cli._write_verdicts(tmp_path / "verdicts.csv", sensitivity_analysis(
+            trials, [10, 20], SHARD_RUN["estimators"], base_r=10, boot_b=20,
+            seed=derive_seed(SHARD_RUN["master_seed"], "sensitivity:1")))
+        assert (tmp_path / "verdicts.csv").read_bytes() == files[1]["verdicts_prog001.csv"]
+
+    def test_estimate_and_sensitivity_match_across_worker_counts(self, tmp_path, monkeypatch):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        for k in range(2):
+            shutil.copy(FIXTURE_LOG, logs / f"trial{k:03d}.units.txt")
+        outputs = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            est, ver = tmp_path / f"e{cpus}.csv", tmp_path / f"v{cpus}.csv"
+            assert main(["estimate", "--incidence", str(FIXTURE_LOG), "--methods", "all",
+                         "--seed", "5", "--out", str(est)]) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            assert main(["sensitivity", "--logs", str(logs), "--unit-sizes", "1,2,4",
+                         "--methods", "jk1,chao2,ice", "--out", str(ver)]) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            outputs.append((est.read_bytes(), ver.read_bytes()))
+        assert outputs[0] == outputs[1]
+        rows = list(csv.DictReader(io.StringIO(outputs[0][0].decode())))
+        expected = estimate_all(build_incidence_matrix(parse_units(FIXTURE_LOG.read_text())),
+                                seed=5)
+        assert ([(r["method"], float(r["point"]), float(r["ci_low"]), float(r["ci_high"]))
+                 for r in rows] == [(e.method, e.point, e.ci_low, e.ci_high) for e in expected])
+        rows = list(csv.DictReader(io.StringIO(outputs[0][1].decode())))
+        assert [r["method"] for r in rows] == ["jk1"] * 3 + ["chao2"] * 3 + ["ice"] * 3
+
+    @pytest.mark.parametrize("stage,method,exc,code", [
+        ("estimates", "pnpmle", RuntimeError("boom"), EXIT_RUNTIME),
+        ("sensitivity", "unpmle", ValueError("bad shard"), EXIT_CONFIG),
+    ])
+    def test_failing_shard_keeps_earlier_programs(self, tmp_path, monkeypatch, stage, method,
+                                                  exc, code):
+        master = SHARD_RUN["master_seed"]
+        if stage == "estimates":  # program 1's checkpoint seeds
+            seeds = {derive_seed(master, f"ci:1:{t}", k) for t in range(1, 41) for k in range(2)}
+        else:
+            seeds = {derive_seed(master, "sensitivity:1")}
+        _fail_shard(monkeypatch, method, seeds, exc)
+        files = []
+        for cpus in (1, 2):
+            rc, out = _pool_run(tmp_path, monkeypatch, cpus, SHARD_RUN)
+            assert rc == code
+            files.append(_files(out))
+        assert files[0] == files[1]
+        assert "run_manifest.json" not in files[0]
+        # Program 0 is finished and kept; program 1 failed in the stage.
+        assert "estimates/prog000/.stage.digest" in files[0]
+        assert ("estimates/prog001/.stage.digest" in files[0]) == (stage == "sensitivity")
+        assert ("verdicts_prog000.csv" in files[0]) == (stage == "sensitivity")
+        assert "verdicts_prog001.csv" not in files[0]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["estimate", "--methods", "jk1,nope"], "unknown estimator 'nope'"),
+        (["estimate", "--methods", "jk1,ice", "--level", "1.0"],
+         "CI level must lie in [0, 1), got 1.0"),
+        (["sensitivity", "--methods", "jk1,nope", "--unit-sizes", "1,2"],
+         "unknown estimator 'nope'"),
+        (["sensitivity", "--methods", "jk1,ice", "--unit-sizes", "2,3"],
+         "unit size 3 is not a multiple of base 2"),
+        (["sensitivity", "--methods", "jk1,ice", "--unit-sizes", "1,2", "--alpha", "0"],
+         "alpha must lie in (0, 1), got 0.0"),
+    ], ids=["estimate-method", "estimate-level", "sensitivity-method", "sensitivity-size",
+            "sensitivity-alpha"])
+    def test_bad_settings_fail_before_any_worker(self, tmp_path, monkeypatch, caplog, argv,
+                                                  message):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        shutil.copy(FIXTURE_LOG, logs / "trial000.units.txt")
+        _cpus(monkeypatch, 2)
+        _no_pool(monkeypatch)
+        source = ["--incidence", str(FIXTURE_LOG)] if argv[0] == "estimate" else [
+            "--logs", str(logs)]
+        out = tmp_path / "o.csv"
+        assert main([*argv, *source, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        TestExitCodes.assert_one_line_error(caplog, message)
+
+    def test_one_method_starts_no_estimate_or_sensitivity_pool(self, tmp_path, monkeypatch):
+        config = dict(SHARD_RUN, estimators=["chao2_bc"])
+        _, out = _pool_run(tmp_path, monkeypatch, 2, config)
+        before = _files(out)
+        shutil.rmtree(out / "estimates")
+        _no_pool(monkeypatch)  # the fuzz stage resumes; nothing else may start a pool
+        rc, _ = _pool_run(tmp_path, monkeypatch, 2, config)
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert (manifest["fuzz_workers"], manifest["estimate_workers"],
+                manifest["sensitivity_workers"]) == (0, 1, 1)
+        after = _files(out)
+        assert all(after[k] == before[k] for k in before if k != "run_manifest.json")
+        est = tmp_path / "e.csv"
+        assert main(["estimate", "--incidence", str(FIXTURE_LOG), "--methods", "chao2_bc",
+                     "--out", str(est)]) == EXIT_OK
+        assert main(["sensitivity", "--logs", str(out / "incidence/prog000"),
+                     "--unit-sizes", "10,20", "--methods", "chao2_bc",
+                     "--out", str(tmp_path / "v.csv")]) == EXIT_OK
