@@ -36,6 +36,7 @@ import hashlib
 import json
 import logging
 import multiprocessing
+import numbers
 import os
 import sys
 import time
@@ -145,7 +146,7 @@ def _known_keys(cls, d, what: str) -> dict:
 def _gen_config_from_dict(d: dict, seed=None) -> GenConfig:
     kw = _known_keys(GenConfig, d, "generation")
     for key in ("rules_per_nonterminal", "rule_length"):
-        if key in kw:
+        if isinstance(kw.get(key), list):
             kw[key] = tuple(kw[key])
     if seed is not None:
         kw["seed"] = seed
@@ -232,7 +233,7 @@ def _pool_results(fn, jobs):
     starts; only the job's index crosses the pipe, and the worker finds
     ``fn`` and the job in what it inherited.  ``fork``, not ``spawn``: a
     program's generated runner cannot be pickled, and a spawned worker would
-    import numpy and scipy again; reachbench starts no thread before it
+    import reachbench and numpy again; reachbench starts no thread before it
     forks.  Otherwise each callable runs its job in this process when
     called.  Leaving the block cancels what has not started and waits for
     the pool's workers to exit.
@@ -515,6 +516,8 @@ def _stage_mark(stage_dir: Path, digest: str):
 
 def run_experiment(config: dict, out_dir) -> int:
     """Generate -> compile -> fuzz -> estimate -> evaluate -> sensitivity."""
+    if not isinstance(config, dict):
+        raise ValueError(f"a run config must be a JSON object, got {config!r}")
     cfg = dict(DEFAULT_EXPERIMENT)
     cfg.update(config)
     # Every check runs before the first write or fork.
@@ -524,6 +527,8 @@ def run_experiment(config: dict, out_dir) -> int:
     for key in ("n_programs", "trials_k", "n_seeds", "max_depth", "bootstrap_b"):
         check_count(key, cfg[key])
     master = cfg["master_seed"]
+    if isinstance(master, bool) or not isinstance(master, numbers.Integral):
+        raise ValueError(f"master_seed must be an integer, got {master!r}")
     campaigns = [
         [_campaign_config_from_dict(cfg["campaign"],
                                     trial_seed=derive_seed(master, f"campaign:{b}", k))
@@ -552,8 +557,13 @@ def run_experiment(config: dict, out_dir) -> int:
         if not isinstance(cfg["checkpoints"], list):
             raise ValueError("checkpoints must be a list of unit counts, "
                              f"got {cfg['checkpoints']!r}")
+        t_max = campaigns[0][0].budget_n // base_r  # every campaign's unit count
         for t_cp in cfg["checkpoints"]:
             check_count("checkpoints", t_cp)
+            if t_cp > t_max:
+                raise ValueError(f"checkpoint {t_cp} exceeds the campaigns' {t_max} units")
+        if len(set(cfg["checkpoints"])) < len(cfg["checkpoints"]):
+            raise ValueError(f"checkpoints repeat a unit count: {cfg['checkpoints']!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -675,7 +685,7 @@ def run_experiment(config: dict, out_dir) -> int:
 
 def cmd_run(args) -> int:
     config = json.loads(_read(args.config)) if args.config else {}
-    if args.seed is not None:
+    if args.seed is not None and isinstance(config, dict):
         config["master_seed"] = args.seed
     return run_experiment(config, args.out)
 

@@ -54,9 +54,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .incidence import FrequencyCounts, IncidenceMatrix, counts_from_y, frequency_counts
+from .stattests import ndtri
 
 ALL_METHODS = (
     "chao2",

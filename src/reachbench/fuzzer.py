@@ -48,8 +48,9 @@ class MutationPolicy:
 
     def validate(self):
         for r in (self.flip_rate, self.insert_rate, self.delete_rate, self.splice_rate):
-            if not 0.0 <= r <= 1.0:
-                raise CampaignError("mutation rates must be in [0, 1]")
+            if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 <= r <= 1.0:
+                raise CampaignError(f"mutation rates must be in [0, 1], got {r!r}")
+        check_count("max_len", self.max_len)
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,8 @@ class CampaignConfig:
     def validate(self):
         check_count("budget_n", self.budget_n)
         check_count("unit_size_r", self.unit_size_r)
+        if self.budget_n < self.unit_size_r:
+            raise CampaignError("budget smaller than one sampling unit")
         self.policy.validate()
 
 
@@ -189,8 +192,6 @@ def run_campaign(program: ParserProgram, corpus: SeedCorpus, config: CampaignCon
     if budget % r:
         budget = (budget // r) * r
         log.warning("budget_n not divisible by unit_size_r; truncating to %d", budget)
-    if budget == 0:
-        raise CampaignError("budget smaller than one sampling unit")
 
     step_budget = config.step_budget
     pool = [s for s in corpus.inputs]

@@ -14,8 +14,9 @@ known ground-truth partition of the eventual coverage elements.
 
 from __future__ import annotations
 
+import numbers
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .grammar import (
     Grammar,
@@ -30,6 +31,10 @@ from .grammar import (
 
 class InfeasibleConfigError(ValueError):
     """The generator cannot satisfy the configuration; names the binding constraint."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,21 @@ class GenConfig:
     max_attempts: int = 1000
 
     def validate(self) -> None:
+        # Each field must have its default's type, before any comparison.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                ok = isinstance(value, tuple) and len(value) == 2 and all(map(_is_int, value))
+                kind = "a pair of integers"
+            elif isinstance(f.default, bool):
+                ok, kind = isinstance(value, bool), "true or false"
+            elif isinstance(f.default, int):
+                ok, kind = _is_int(value), "an integer"
+            else:
+                ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+                kind = "a number"
+            if not ok:
+                raise InfeasibleConfigError(f"{f.name} must be {kind}, got {value!r}")
         if self.n_nonterminals < 1:
             raise InfeasibleConfigError("n_nonterminals must be >= 1")
         lo, hi = self.rules_per_nonterminal

@@ -4,21 +4,84 @@ Welch's unequal-variance t-test with Satterthwaite degrees of freedom,
 the Shapiro-Wilk normality test (Royston's AS R94 approximation), and the
 Mann-Whitney U test (exact enumeration for small tie-free samples, normal
 approximation with tie correction and continuity correction otherwise).
-Only scipy's special functions are used (t and normal tail areas); the test
-statistics themselves are computed here and cross-checked against an
-independent reference implementation in the test suite.
+Everything, the normal and Student-t distribution functions included, is
+computed here from the standard library and numpy; the test suite checks
+the statistics and p-values against ``scipy`` as an independent reference.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr
 
 
 class StatTestError(ValueError):
     pass
+
+
+# -- Distribution functions --------------------------------------------------
+
+#: The standard normal quantile function (Wichura's AS 241).
+ndtri = NormalDist().inv_cdf
+
+
+def ndtr(z: float) -> float:
+    """The standard normal distribution function at ``z``."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta function I_x(a, b), where y = 1 - x is
+    passed in computed on its own, so that neither loses digits near 1.
+
+    The continued fraction is evaluated by the modified Lentz method
+    (Numerical Recipes, 3rd ed., section 6.4); it converges fast for
+    x < (a + 1) / (a + b + 2), and I_x(a, b) = 1 - I_y(b, a) covers the rest.
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, y, x)
+    if a + b < 171.0:  # gamma is finite, and closer than a difference of lgammas
+        front = math.gamma(a + b) / (math.gamma(a) * math.gamma(b))
+    else:
+        front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    front *= x ** a * y ** b / a
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    if abs(d) < tiny:
+        d = tiny
+    h = d = 1.0 / d
+    for m in range(1, 10_000):
+        # The even step m(b - m)x / ((a + 2m - 1)(a + 2m)), then the odd one.
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d, c = 1.0 + num * d, 1.0 + num / c
+            if abs(d) < tiny:
+                d = tiny
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            h *= c * d
+        if not abs(c * d - 1.0) > 1e-15:  # converged, or a NaN argument
+            return front * h
+    raise StatTestError(f"incomplete beta I_x({a}, {b}) did not converge at x = {x}")
+
+
+def stdtr(df: float, t: float) -> float:
+    """Student's t distribution function with ``df`` degrees of freedom at ``t``.
+
+    The tail below -|t| is I_x(df/2, 1/2) / 2 with x = df / (df + t^2); its
+    complement 1 - x is computed as t^2 / (df + t^2), not by subtraction, so
+    the tail keeps full precision near t = 0.
+    """
+    t2 = t * t
+    tail = 0.5 * _betainc(0.5 * df, 0.5, df / (df + t2), t2 / (df + t2))
+    return tail if t < 0 else 1.0 - tail
 
 
 def welch_t_test(sample_a, sample_b):
@@ -73,7 +136,7 @@ def shapiro_wilk(sample):
     if x[0] == x[-1]:
         raise StatTestError("Shapiro-Wilk is undefined for a constant sample")
 
-    m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
+    m = np.array([ndtri((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
     ssq_m = float(m @ m)
     u = 1.0 / math.sqrt(n)
     a = m / math.sqrt(ssq_m)

@@ -5,7 +5,11 @@ import io
 import json
 import logging
 import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -53,6 +57,35 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """No reachbench module imports scipy: a fresh interpreter's import of
+    the CLI loads none, and with scipy made unimportable a run whose
+    sensitivity stage takes the Shapiro-Wilk and Welch paths, with
+    normal-approximation CIs, and ``estimate --methods all`` both succeed."""
+    config = {"master_seed": 1, "generation": {"n_nonterminals": 30, "alphabet_size": 32},
+              "campaign": {"budget_n": 200, "unit_size_r": 10}, "trials_k": 5,
+              "unit_sizes": [10, 20], "estimators": ["chao2", "chao2_bc", "jk1"],
+              "bootstrap_b": 30}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code = textwrap.dedent(f"""
+        import sys
+        import reachbench.cli
+        assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy was imported"
+        sys.modules["scipy"] = None  # any later import of scipy raises ImportError
+        main = reachbench.cli.main
+        assert main(["run", "--config", "cfg.json", "--out", "run"]) == 0
+        assert main(["estimate", "--incidence", {str(FIXTURE_LOG)!r}, "--methods", "all",
+                     "--out", "estimates.csv"]) == 0
+    """)
+    src = Path(cli.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                   env=dict(os.environ, PYTHONPATH=str(src)), check=True, timeout=60)
+    assert "welch" in {row["test_used"] for row in csv.DictReader(
+        (tmp_path / "run/verdicts_prog000.csv").open())}
+    assert "analytic-normal" in (tmp_path / "run/estimates/prog000/trial000.csv").read_text()
+    assert (tmp_path / "estimates.csv").read_text().count("\n") == 1 + 12
 
 
 def test_interrupted_csv_write_keeps_previous_file(tmp_path):
@@ -237,6 +270,15 @@ class TestExitCodes:
          "estimators must be 'all' or a non-empty list of method names, got 'jk1'"),
         ("checkpoints", [5, 0], "checkpoints must be an integer >= 1, got 0"),
         ("checkpoints", "10", "checkpoints must be a list of unit counts, got '10'"),
+        ("generation", {"n_nonterminals": "x"}, "n_nonterminals must be an integer, got 'x'"),
+        ("generation", {"rule_length": 3}, "rule_length must be a pair of integers, got 3"),
+        ("campaign", {"budget_n": 5, "unit_size_r": 10}, "budget smaller than one sampling unit"),
+        ("campaign", {"policy": {"max_len": "a"}}, "max_len must be an integer >= 1, got 'a'"),
+        ("master_seed", "a", "master_seed must be an integer, got 'a'"),
+        # The default campaign has 10_000 executions in units of 10.
+        ("checkpoints", [5000], "checkpoint 5000 exceeds the campaigns' 1000 units"),
+        ("checkpoints", [5000, 1000], "checkpoint 5000 exceeds the campaigns' 1000 units"),
+        ("checkpoints", [100, 100], "checkpoints repeat a unit count: [100, 100]"),
     ])
     def test_bad_run_levels_are_config_errors_before_any_work(self, tmp_path, caplog, key,
                                                               value, message):
@@ -246,6 +288,16 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
         self.assert_one_line_error(caplog, message)
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"x"', "null"])
+    def test_run_config_that_is_not_an_object_is_config_error(self, tmp_path, caplog, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        self.assert_one_line_error(
+            caplog, f"a run config must be a JSON object, got {json.loads(text)!r}")
 
 
 class TestRun:

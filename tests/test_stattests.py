@@ -1,14 +1,20 @@
 """Statistical tests cross-checked against scipy.stats as an independent reference."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from reachbench.stattests import (
     StatTestError,
     mann_whitney_u,
+    ndtr,
+    ndtri,
     normality_check,
     shapiro_wilk,
+    stdtr,
     welch_t_test,
 )
 
@@ -131,3 +137,60 @@ class TestMannWhitney:
     def test_empty_sample_rejected(self):
         with pytest.raises(StatTestError):
             mann_whitney_u([], [1.0])
+
+
+class TestDistributionFunctions:
+    def test_ndtri_matches_scipy(self):
+        # p from 1e-300 to 1 - 1e-16 (0.5 itself excluded: both give 0), rel 1e-14.
+        p = np.concatenate([np.geomspace(1e-300, 0.4, 300), np.linspace(0.001, 0.999, 999),
+                            1.0 - np.geomspace(1e-16, 0.4, 300)])
+        p = p[p != 0.5]
+        np.testing.assert_allclose([ndtri(v) for v in p], scipy.special.ndtri(p),
+                                   rtol=1e-14, atol=0)
+
+    def test_ndtr_matches_scipy(self):
+        # z in [-15, 15], rel 1e-13.  Further out, the rounding of z / sqrt(2)
+        # alone moves erfc by about z^2 * 1e-16 relative, in either library.
+        z = np.linspace(-15.0, 15.0, 3001)
+        np.testing.assert_allclose([ndtr(v) for v in z], scipy.special.ndtr(z),
+                                   rtol=1e-13, atol=0)
+
+    def test_stdtr_matches_scipy(self):
+        # df in [1.5, 200] x |t| in [1e-3, 40], both signs of t, rel 1e-12.
+        df, t = np.meshgrid(np.geomspace(1.5, 200.0, 40), np.geomspace(1e-3, 40.0, 40))
+        df, t = np.concatenate([df.ravel(), df.ravel()]), np.concatenate([t.ravel(), -t.ravel()])
+        np.testing.assert_allclose([stdtr(d, v) for d, v in zip(df, t)],
+                                   scipy.special.stdtr(df, t), rtol=1e-12, atol=0)
+
+    def test_stdtr_matches_scipy_at_large_df(self):
+        # df in [342, 1e6] x |t| in [1e-3, 40], rel 1e-7.  From df/2 + 1/2 = 171
+        # on, gamma could overflow, and the beta function comes from a
+        # difference of lgammas near (df/2) ln(df/2), which keeps fewer
+        # digits; 1e-7 is still far inside the 1e-6 Welch p-values are held to.
+        df, t = np.meshgrid(np.geomspace(342.0, 1e6, 30), np.geomspace(1e-3, 40.0, 30))
+        df, t = np.concatenate([df.ravel(), df.ravel()]), np.concatenate([t.ravel(), -t.ravel()])
+        ref = scipy.special.stdtr(df, t)
+        keep = ref > 1e-300  # scipy's smallest tails are subnormal
+        np.testing.assert_allclose([stdtr(d, v) for d, v in zip(df[keep], t[keep])], ref[keep],
+                                   rtol=1e-7, atol=0)
+
+    @pytest.mark.parametrize("df", [1, 2])
+    def test_stdtr_matches_closed_forms(self, df):
+        # F = 0.5 + atan(t) / pi at df = 1 and 0.5 + t / (2 sqrt(2 + t^2)) at
+        # df = 2, written as tails that do not cancel; |t| from 1e-12 to 1e6
+        # and t = 0, rel 1e-14.  scipy is no oracle here: at df = 1 it gives
+        # 0.4999999952568 for t = -1e-8, where the exact value is 0.4999999968169.
+        def closed(v):
+            s = math.sqrt(2.0 + v * v)
+            tail = math.atan2(1.0, abs(v)) / math.pi if df == 1 else 1.0 / (s * (s + abs(v)))
+            return tail if v < 0 else 1.0 - tail
+
+        t = np.geomspace(1e-12, 1e6, 73)
+        t = np.concatenate([-t, [0.0], t])
+        np.testing.assert_allclose([stdtr(df, v) for v in t], [closed(v) for v in t],
+                                   rtol=1e-14, atol=0)
+        assert stdtr(1, -1e-8) == pytest.approx(0.4999999968169, abs=1e-13)
+
+    def test_stdtr_limits(self):
+        assert (stdtr(3.0, -math.inf), stdtr(3.0, 0.0), stdtr(3.0, math.inf)) == (0.0, 0.5, 1.0)
+        assert math.isnan(stdtr(3.0, math.nan))
