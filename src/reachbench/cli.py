@@ -42,7 +42,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -133,11 +133,13 @@ def _sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _known_keys(cls, d, what: str) -> dict:
-    """A copy of the JSON object ``d``, whose keys must be fields of ``cls``."""
+def _known_keys(allowed, d, what: str) -> dict:
+    """A copy of the JSON object ``d``, whose keys must be fields of the
+    dataclass ``allowed``, or keys of the dict ``allowed``."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    names = {f.name for f in fields(allowed)} if is_dataclass(allowed) else set(allowed)
+    unknown = sorted(set(d) - names)
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
     return dict(d)
@@ -179,6 +181,7 @@ class CampaignResult(NamedTuple):
     matrix: IncidenceMatrix
     executions_per_second: float  # timed inside the worker
     final_corpus_size: int
+    parser_runs: int
 
 
 def _fuzz_campaign(job: CampaignJob) -> CampaignResult:
@@ -187,7 +190,8 @@ def _fuzz_campaign(job: CampaignJob) -> CampaignResult:
     clog = run_campaign(job.program, corpus, job.config)
     return CampaignResult(serialize_units(clog.unit_coverage),
                           build_incidence_matrix(clog.unit_coverage),
-                          clog.executions_per_second, clog.final_corpus_size)
+                          clog.executions_per_second, clog.final_corpus_size,
+                          clog.parser_runs)
 
 
 _worker_task = (None, ())  # (function, jobs), set in each pool worker by _adopt_task
@@ -396,6 +400,7 @@ def cmd_fuzz(args) -> int:
                 "unit_size_r": job.config.unit_size_r,
                 "discovered": len(res.matrix.element_ids),
                 "executions_per_second": round(res.executions_per_second, 1),
+                "parser_runs": res.parser_runs,
                 "final_corpus_size": res.final_corpus_size,
                 "budget_n": args.budget,
                 "trial_seed": job.config.trial_seed,
@@ -519,7 +524,7 @@ def run_experiment(config: dict, out_dir) -> int:
     if not isinstance(config, dict):
         raise ValueError(f"a run config must be a JSON object, got {config!r}")
     cfg = dict(DEFAULT_EXPERIMENT)
-    cfg.update(config)
+    cfg.update(_known_keys(DEFAULT_EXPERIMENT, config, "run config"))
     # Every check runs before the first write or fork.
     level = cfg["ci_level"]
     check_level(level)
@@ -608,6 +613,7 @@ def run_experiment(config: dict, out_dir) -> int:
         for k, camp in enumerate(campaigns[b])
     ]
     all_logs = {}
+    manifest["parser_runs"] = {}  # per program fuzzed in this run
     with _pool_results(_fuzz_campaign, jobs) as (workers, results):
         manifest["fuzz_workers"] = workers
         for b in range(cfg["n_programs"]):
@@ -617,10 +623,12 @@ def run_experiment(config: dict, out_dir) -> int:
                     _read(psub / f"trial{k:03d}.units.txt"))) for k in range(cfg["trials_k"])]
                 continue
             logs = []
+            manifest["parser_runs"][psub.name] = 0
             for k in range(cfg["trials_k"]):
                 res = next(results)()
                 _write(psub / f"trial{k:03d}.units.txt", res.units_text)
                 logs.append(res.matrix)
+                manifest["parser_runs"][psub.name] += res.parser_runs
             _stage_mark(psub, cfg_digest)
             all_logs[b] = logs
     timings["fuzz"] = time.perf_counter() - t0

@@ -5,7 +5,10 @@ mutation stack (flip / insert / delete / splice), and novelty-based corpus
 addition (an input joins the corpus iff it covers a new element).  Coverage
 is aggregated into sampling units of a fixed number of consecutive
 executions, which keeps the incidence data independent of machine load and
-makes every trial reproducible from its seed.
+makes every trial reproducible from its seed.  A mutant that agrees with its
+corpus entry on every byte the entry's parse read (up to and including its
+read horizon) has the entry's coverage, which the loop reuses instead of
+parsing the mutant again.
 """
 
 from __future__ import annotations
@@ -73,9 +76,10 @@ class CampaignConfig:
 class CampaignLog:
     unit_coverage: tuple  # of frozenset, one per sampling unit
     discovery_curve: tuple  # cumulative distinct-element count per unit
-    executions_per_second: float
+    executions_per_second: float  # budget inputs per second; a reused parse counts
     final_corpus_size: int
     unit_size_r: int
+    parser_runs: int  # execute_parser calls, the initial corpus entries' included
 
     @property
     def t(self) -> int:
@@ -179,11 +183,31 @@ def mutate_input(data: bytes, policy: MutationPolicy, rng: random.Random, corpus
 
 
 def run_campaign(program: ParserProgram, corpus: SeedCorpus, config: CampaignConfig) -> CampaignLog:
-    """Execute exactly budget_n inputs, logging coverage per sampling unit.
+    """Evaluate exactly budget_n inputs, logging coverage per sampling unit.
 
     Coverage-increasing inputs join the corpus.  Fully deterministic per
     ``config.trial_seed``.  Coverage stays in the executor's int mask form
     until each unit is decoded once at the end.
+
+    Each corpus entry keeps the mask of its parse, its read horizon
+    h = ``consumed`` and the bytes ``entry[:h + 1]`` that its parse read.  A
+    mutant whose ``[:h + 1]`` slice equals those bytes takes the entry's
+    mask without a parse.  That is exact:
+
+    - ``interpret_parser`` reads the input only at its current position,
+      which never decreases, and it returns its last position as
+      ``consumed``, whichever way the parse ends (accept, reject, error exit
+      or step budget).  So its whole result is a function of tokens 0..h,
+      where token n = len(input) is end-of-input.
+    - Two inputs agree on tokens 0..h iff their ``[:h + 1]`` slices are
+      equal: for h < n both slices hold h + 1 bytes, and for h = n the
+      entry's slice is the whole entry, so only the entry itself matches.
+    - ``execute_parser`` equals ``interpret_parser`` on every input (the
+      codegen contract that tests/test_codegen.py checks), so a matching
+      mutant has the entry's whole ``ExecutionResult``.
+
+    Every initial entry is parsed once before the loop; those parses count
+    in ``parser_runs`` but add to no unit.
     """
     config.validate()
     rng = random.Random(config.trial_seed)
@@ -194,22 +218,32 @@ def run_campaign(program: ParserProgram, corpus: SeedCorpus, config: CampaignCon
         log.warning("budget_n not divisible by unit_size_r; truncating to %d", budget)
 
     step_budget = config.step_budget
-    pool = [s for s in corpus.inputs]
-    if not pool:
-        pool = [b""]
+
+    def parse(data):
+        res = execute_parser(program, data, step_budget)
+        return res.mask, res.consumed + 1, data[:res.consumed + 1]
+
+    t0 = time.perf_counter()
+    pool = list(corpus.inputs) or [b""]
+    parses = [parse(entry) for entry in pool]  # (mask, h + 1, entry[:h + 1])
+    parser_runs = len(pool)
     seen = 0
     units = []
     curve = []
     unit_cov = 0
-    t0 = time.perf_counter()
     for i in range(budget):
-        seed = pool[rng.randrange(len(pool))]
-        candidate = mutate_input(seed, config.policy, rng, pool)
-        cov = execute_parser(program, candidate, step_budget).mask
+        j = rng.randrange(len(pool))
+        candidate = mutate_input(pool[j], config.policy, rng, pool)
+        parsed = parses[j]
+        if candidate[:parsed[1]] != parsed[2]:
+            parsed = parse(candidate)
+            parser_runs += 1
+        cov = parsed[0]
         unit_cov |= cov
         if cov & ~seen:
             seen |= cov
             pool.append(candidate)
+            parses.append(parsed)
         if (i + 1) % r == 0:
             units.append(unit_cov)
             curve.append(seen.bit_count())
@@ -221,6 +255,7 @@ def run_campaign(program: ParserProgram, corpus: SeedCorpus, config: CampaignCon
         executions_per_second=budget / elapsed if elapsed > 0 else float("inf"),
         final_corpus_size=len(pool),
         unit_size_r=r,
+        parser_runs=parser_runs,
     )
 
 

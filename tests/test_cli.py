@@ -127,6 +127,8 @@ def test_stagewise_pipeline(tmp_path):
     assert len(units) == 50
     summary = json.loads((fdir / "trial000.summary.json").read_text())
     assert summary["t"] == 50 and summary["discovered"] > 0
+    # The seeds' parses count; the mutants that reused a parse do not.
+    assert 10 < summary["parser_runs"] < 500
 
     rebinned = tmp_path / "rebinned.txt"
     rc = main(["rebin", "--incidence", str(fdir / "trial000.units.txt"),
@@ -279,6 +281,7 @@ class TestExitCodes:
         ("checkpoints", [5000], "checkpoint 5000 exceeds the campaigns' 1000 units"),
         ("checkpoints", [5000, 1000], "checkpoint 5000 exceeds the campaigns' 1000 units"),
         ("checkpoints", [100, 100], "checkpoints repeat a unit count: [100, 100]"),
+        ("trial_k", 3, "unknown run config key(s): 'trial_k'"),
     ])
     def test_bad_run_levels_are_config_errors_before_any_work(self, tmp_path, caplog, key,
                                                               value, message):
@@ -332,9 +335,11 @@ class TestRun:
     def test_reruns_are_digest_identical(self, tmp_path):
         a = self._run(tmp_path, "runA")
         b = self._run(tmp_path, "runB")
-        ma = json.loads((a / "run_manifest.json").read_text())["artifacts"]
-        mb = json.loads((b / "run_manifest.json").read_text())["artifacts"]
-        assert ma == mb
+        ma = json.loads((a / "run_manifest.json").read_text())
+        mb = json.loads((b / "run_manifest.json").read_text())
+        assert ma["artifacts"] == mb["artifacts"]
+        assert ma["parser_runs"] == mb["parser_runs"]
+        assert set(ma["parser_runs"]) == {"prog000"}
 
     def test_resume_skips_finished_stages(self, tmp_path):
         out = self._run(tmp_path, "runC")

@@ -1,6 +1,7 @@
 """Fuzzing loop: seeds, mutation, campaign bookkeeping, persistence."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -134,14 +135,24 @@ class TestCampaign:
                                                         unit_size_r=10))
         assert log.t == 10
 
-    @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_equals_interpreter_loop(self, seed):
-        """The campaign loop on the reference interpreter and frozenset unions."""
+    @pytest.mark.parametrize("seed, alphabet, step_budget", [
+        pytest.param(3, 24, 1_000_000, id="3"),
+        pytest.param(11, 24, 1_000_000, id="11"),
+        pytest.param(29, 24, 1_000_000, id="29"),
+        # A step budget that some parses exhaust, so the runner falls back.
+        pytest.param(5, 24, 20, id="small_step_budget"),
+        # fuzz_large's alphabet; max_len is 256 in every case, as in fuzz_large.
+        pytest.param(7, 64, 1_000_000, id="fuzz_large_shape"),
+    ])
+    def test_equals_interpreter_loop(self, seed, alphabet, step_budget):
+        """The campaign loop on the reference interpreter and frozenset unions,
+        parsing every candidate."""
         g, label = generate_grammar(GenConfig(seed=seed, n_nonterminals=10 + seed,
-                                              alphabet_size=24, n_dead_branches=2))
+                                              alphabet_size=alphabet, n_dead_branches=2))
         prog = compile_to_parser(g, label)
         corpus = generate_seed_corpus(g, 8, 15, seed)
-        config = CampaignConfig(trial_seed=seed, budget_n=1500, unit_size_r=30)
+        config = CampaignConfig(trial_seed=seed, budget_n=1500, unit_size_r=30,
+                                step_budget=step_budget)
         rng = random.Random(config.trial_seed)
         pool = list(corpus.inputs)
         seen, unit_cov, units, curve = set(), set(), [], []
@@ -161,6 +172,8 @@ class TestCampaign:
         assert log.unit_coverage == tuple(units)
         assert log.discovery_curve == tuple(curve)
         assert log.final_corpus_size == len(pool)
+        # Some mutants took their corpus entry's coverage without a parse.
+        assert len(corpus.inputs) < log.parser_runs < config.budget_n
 
     def test_zero_unit_budget_rejected(self, small_program):
         g, prog = small_program
@@ -168,6 +181,49 @@ class TestCampaign:
         with pytest.raises(CampaignError):
             run_campaign(prog, corpus, CampaignConfig(trial_seed=1, budget_n=5,
                                                       unit_size_r=10))
+
+
+def reads_same(seed: bytes, h: int, candidate: bytes) -> bool:
+    """Whether ``candidate`` agrees with ``seed`` on tokens 0..h, where token
+    len(seed) is end-of-input."""
+    if h < len(seed):
+        return len(candidate) > h and candidate.startswith(seed[:h + 1])
+    return candidate == seed
+
+
+@lru_cache(maxsize=None)
+def generated_program(seed):
+    g, label = generate_grammar(GenConfig(
+        seed=seed, n_nonterminals=4 + seed, alphabet_size=6 + 2 * seed,
+        recursion_linear=0.4, n_dead_branches=seed % 3, allow_epsilon=seed % 2 == 0))
+    return g, compile_to_parser(g, label)
+
+
+class TestReadHorizon:
+    @given(st.integers(0, 5), st.integers(0, 2 ** 31), st.binary(max_size=12),
+           st.sampled_from([5, 50, 1_000_000]))
+    @settings(max_examples=80, deadline=None)
+    def test_reuse_rule_is_exact(self, grammar_seed, seed, noise, step_budget):
+        """A candidate that reads the same tokens 0..h as the parsed input,
+        h its ``consumed``, has that input's whole result.  80 examples, each
+        with 30 mutation chains and one input cut after its horizon, take
+        well under 1 s."""
+        g, prog = generated_program(grammar_seed)
+        rng = random.Random(seed)
+        pool = list(generate_seed_corpus(g, 4, 10, seed).inputs) + [noise]
+        parent = pool[rng.randrange(len(pool))]
+        res = execute_parser(prog, parent, step_budget)
+        h = res.consumed
+        candidates = [parent[:h + 1] + noise]
+        for _ in range(30):
+            cand = parent
+            for _ in range(rng.randint(1, 3)):
+                cand = mutate_input(cand, MutationPolicy(), rng, pool)
+            candidates.append(cand)
+        for cand in candidates:
+            if reads_same(parent, h, cand):
+                assert execute_parser(prog, cand, step_budget) == res
+                assert interpret_parser(prog, cand, step_budget) == res
 
 
 class TestUnitSerialization:
