@@ -2,28 +2,21 @@
 
 Subcommands cover each pipeline stage (gen-grammar, gen-parser, fuzz,
 rebin, estimate, evaluate, sensitivity, import-incidence) plus ``run``,
-which executes the whole RQ1+RQ2 pipeline from a single JSON config with a
-master seed.  Every stage is deterministic: sub-seeds are derived as
-sha256(master, purpose-label, index), and re-running a finished stage is
-skipped when its outputs and config digest are unchanged.
+which executes the whole RQ1+RQ2 pipeline from a single JSON config, read
+into ``ExperimentConfig``.  ``run`` shares its generate stage with
+``gen-grammar`` and its fuzz stage with ``fuzz``, in which ``fuzz`` is
+program 0: ``fuzz --seed M`` on a run's ``grammars/prog000``, given the
+run's campaign settings, reproduces its campaigns.  Every stage is
+deterministic: sub-seeds are derived as sha256(master, purpose-label,
+index).  A rerun into the same directory skips a program's campaigns and
+estimates when their stage marker holds the digest of the same config.
 
-Three stages share one ``fork`` process pool of ``min(usable CPUs, jobs)``
-workers (the CPUs of ``os.sched_getaffinity``, else ``os.cpu_count()``):
-the fuzzing campaigns of ``run`` and ``fuzz``, one job per (program,
-trial); and the estimate batches of ``run``'s estimate and sensitivity
-stages and of the ``estimate`` and ``sensitivity`` commands, one job per
-estimator method.  A campaign depends only on its own derived seeds, and an
-estimate only on its own matrix, method and seed (the contract of
-``estimate_many``), so where a job runs cannot change its result; the
-parent takes the results in job order, so the artifacts are byte-identical
-whatever the worker count.  Workers inherit the function and its jobs
-through ``fork`` (compiled programs included); only a job's index goes to
-a worker, and each returns only its result: a campaign's units text,
-incidence matrix and a few summary numbers, or a method's estimates.  The
-rebinning and the verdicts of the sensitivity analysis stay in this
-process.  With one worker, or where ``fork`` is unavailable, the same
-function runs in this process.  Stage 1 (generate, compile, export) stays
-serial.  ``run`` writes each program's files before it starts the next.
+The campaigns (one job per program and trial) and the estimate batches
+(one job per estimator method) run on a ``fork`` pool of ``min(usable
+CPUs, jobs)`` workers; see ``_pool_results``.  Results are taken in job
+order, so the artifacts are byte-identical whatever the worker count.
+Stage 1 (generate, compile, export) stays serial, and ``run`` writes each
+program's files before it starts the next.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure, 3 partial.
 """
@@ -41,9 +34,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import fields, is_dataclass
+from contextlib import closing, contextmanager
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,7 +53,6 @@ from .estimators import ALL_METHODS, check_level, check_methods, estimate_many
 from .evaluation import check_alpha, check_unit_sizes, rq1_report, sensitivity_analysis
 from .fuzzer import (
     CampaignConfig,
-    MutationPolicy,
     check_count,
     generate_seed_corpus,
     parse_units,
@@ -133,34 +126,101 @@ def _sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _known_keys(allowed, d, what: str) -> dict:
-    """A copy of the JSON object ``d``, whose keys must be fields of the
-    dataclass ``allowed``, or keys of the dict ``allowed``."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    names = {f.name for f in fields(allowed)} if is_dataclass(allowed) else set(allowed)
-    unknown = sorted(set(d) - names)
+# ---------------------------------------------------------------------------
+# The run config
+# ---------------------------------------------------------------------------
+
+def _merged(defaults, data, path: str = ""):
+    """The dataclass ``defaults`` with the fields that the JSON object
+    ``data`` sets, nested objects merged in turn and lists made tuples.
+    ``path`` names ``data`` in messages; it is empty for a run config."""
+    what = path or "run config"
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(defaults)})
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
-    return dict(d)
+    changes = {}
+    for key, value in data.items():
+        default = getattr(defaults, key)
+        if is_dataclass(default):
+            value = _merged(default, value, f"{path}.{key}" if path else key)
+        elif isinstance(value, list):
+            value = tuple(value)
+        changes[key] = value
+    return replace(defaults, **changes)
 
 
-def _gen_config_from_dict(d: dict, seed=None) -> GenConfig:
-    kw = _known_keys(GenConfig, d, "generation")
-    for key in ("rules_per_nonterminal", "rule_length"):
-        if isinstance(kw.get(key), list):
-            kw[key] = tuple(kw[key])
-    if seed is not None:
-        kw["seed"] = seed
-    return GenConfig(**kw)
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The settings of ``run``, read from JSON by ``from_json``: each object
+    is merged over the defaults of its level, and a key unknown at its level
+    is an error.  Each program's ``generation.seed`` and each trial's
+    ``campaign.trial_seed`` are derived from ``master_seed``, and a config
+    that sets either is an error too."""
+
+    master_seed: int = 1
+    n_programs: int = 1
+    generation: GenConfig = GenConfig(n_nonterminals=8, alphabet_size=12)
+    campaign: CampaignConfig = CampaignConfig(unit_size_r=10)
+    trials_k: int = 2
+    n_seeds: int = 10
+    max_depth: int = 20
+    unit_sizes: tuple = (10, 20)
+    estimators: str | tuple = "all"  # or method names
+    ci_level: float = 0.90
+    alpha: float = 0.05
+    checkpoints: tuple | None = None  # unit counts; None: t/8, t/4, t/2 and t
+    # Bootstrap replicates for experiment-stage CIs; the standalone estimate
+    # API defaults to 500, smaller here to keep smoke runs fast on one core.
+    bootstrap_b: int = 200
+
+    @classmethod
+    def from_json(cls, data) -> ExperimentConfig:
+        """The defaults with what the JSON run config ``data`` sets."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a run config must be a JSON object, got {data!r}")
+        for level, key in (("generation", "seed"), ("campaign", "trial_seed")):
+            if isinstance(data.get(level), dict) and key in data[level]:
+                raise ValueError(f"{level}.{key} is derived from master_seed and cannot be set")
+        return _merged(cls(), data)
+
+    def to_json(self) -> dict:
+        """The resolved config as JSON, without the derived seeds."""
+        view = asdict(self)
+        del view["generation"]["seed"], view["campaign"]["trial_seed"]
+        return json.loads(json.dumps(view))
+
+    def validate(self):
+        """Every check of a run, made before it writes or forks anything."""
+        check_level(self.ci_level)
+        check_alpha(self.alpha)
+        for key in ("n_programs", "trials_k", "n_seeds", "max_depth", "bootstrap_b"):
+            check_count(key, getattr(self, key))
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, numbers.Integral):
+            raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
+        self.campaign.validate()
+        check_unit_sizes(self.unit_sizes, self.campaign.unit_size_r)
+        self.generation.validate()
+        if self.estimators != "all":
+            if not isinstance(self.estimators, tuple) or not self.estimators:
+                raise ValueError("estimators must be 'all' or a non-empty list of method "
+                                 f"names, got {self.estimators!r}")
+            check_methods(self.estimators)
+        if self.checkpoints is not None:
+            if not isinstance(self.checkpoints, tuple):
+                raise ValueError("checkpoints must be a list of unit counts, "
+                                 f"got {self.checkpoints!r}")
+            t_max = self.campaign.budget_n // self.campaign.unit_size_r  # every campaign's
+            for t_cp in self.checkpoints:
+                check_count("checkpoints", t_cp)
+                if t_cp > t_max:
+                    raise ValueError(f"checkpoint {t_cp} exceeds the campaigns' {t_max} units")
+            if len(set(self.checkpoints)) < len(self.checkpoints):
+                raise ValueError(f"checkpoints repeat a unit count: {list(self.checkpoints)!r}")
 
 
-def _campaign_config_from_dict(d: dict, trial_seed=None) -> CampaignConfig:
-    kw = _known_keys(CampaignConfig, d, "campaign")
-    policy = MutationPolicy(**_known_keys(MutationPolicy, kw.pop("policy", {}), "campaign.policy"))
-    if trial_seed is not None:
-        kw["trial_seed"] = trial_seed
-    return CampaignConfig(policy=policy, **kw)
+DEFAULT_EXPERIMENT = ExperimentConfig().to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +290,8 @@ def _in_order(futures):
 
 @contextmanager
 def _pool_results(fn, jobs):
-    """The worker count, and one callable per job, in job order, returning
-    ``fn(job)`` or raising what it raised.
+    """One callable per job, in job order, returning ``fn(job)`` or raising
+    what it raised.
 
     With two or more workers the jobs run on a ``fork`` pool as soon as it
     starts; only the job's index crosses the pipe, and the worker finds
@@ -244,12 +304,12 @@ def _pool_results(fn, jobs):
     """
     workers = _pool_workers(len(jobs))
     if workers < 2:
-        yield workers, (partial(fn, job) for job in jobs)
+        yield (partial(fn, job) for job in jobs)
         return
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_adopt_task, initargs=(fn, jobs))
     try:
-        yield workers, _in_order([pool.submit(_run_job, i) for i in range(len(jobs))])
+        yield _in_order([pool.submit(_run_job, i) for i in range(len(jobs))])
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -277,7 +337,7 @@ def _estimates(jobs, level: float = 0.90, **kw) -> list:
     check_methods(by_method)
     ests = [None] * len(jobs)
     shards = [([jobs[i] for i in members], level, kw) for members in by_method.values()]
-    with _pool_results(_estimate_shard, shards) as (_, results):
+    with _pool_results(_estimate_shard, shards) as results:
         for members, result in zip(by_method.values(), results):
             for i, est in zip(members, result()):
                 ests[i] = est
@@ -304,27 +364,62 @@ def _estimate_rows(jobs, level, boot_b=500):
 
 
 # ---------------------------------------------------------------------------
-# Individual subcommands
+# The subcommands, and the generate and fuzz stages they share with ``run``
 # ---------------------------------------------------------------------------
 
-def cmd_gen_grammar(args) -> int:
-    cfg_dict = json.loads(_read(args.config)) if args.config else {}
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    config = _gen_config_from_dict(cfg_dict)
-    grammar, label = generate_grammar(config)
+def _generate(gen: GenConfig, out: Path):
+    """Generate and compile the program of ``gen``, and write its grammar,
+    label, C source, element manifest and ``meta.json`` to ``out``."""
+    grammar, label = generate_grammar(gen)
     program = compile_to_parser(grammar, label)
-    out = Path(args.out)
     _write(out / "grammar.txt", serialize_grammar(grammar))
     _write(out / "label.txt", serialize_label(label))
+    _write(out / "parser.c", export_c_source(program))
+    _write(out / "elements.txt", element_manifest(program))
     meta = {
-        "config": cfg_dict,
-        "seed": config.seed,
+        "seed": gen.seed,
         "cyclomatic_complexity": cyclomatic_complexity(program),
         "n_elements": program.n_elements,
         "true_richness": len(program.ground_truth),
+        "generation": {k: v for k, v in asdict(gen).items() if k != "seed"},
     }
     _write(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    return grammar, program
+
+
+def _fuzz(cfg: ExperimentConfig, programs):
+    """Run ``cfg.trials_k`` campaigns on each of ``programs``, (b, grammar,
+    program, out directory) tuples, on the worker pool, and write the units
+    file of each trial that succeeds.  Per program, once its files are
+    written, yield its trials' (job, result or raised exception) pairs."""
+    jobs = [
+        CampaignJob(grammar, program, cfg.n_seeds, cfg.max_depth,
+                    derive_seed(cfg.master_seed, f"seeds:{b}", k),
+                    replace(cfg.campaign,
+                            trial_seed=derive_seed(cfg.master_seed, f"campaign:{b}", k)))
+        for b, grammar, program, _ in programs for k in range(cfg.trials_k)
+    ]
+    with _pool_results(_fuzz_campaign, jobs) as results:
+        pending = zip(jobs, results)
+        for _, _, _, out in programs:
+            trials = []
+            for k, (job, result) in enumerate(islice(pending, cfg.trials_k)):
+                try:
+                    res = result()
+                except Exception as exc:
+                    trials.append((job, exc))
+                    continue
+                _write(out / f"trial{k:03d}.units.txt", res.units_text)
+                trials.append((job, res._replace(units_text=None)))  # written: let it go
+            yield trials
+
+
+def cmd_gen_grammar(args) -> int:
+    config = _merged(GenConfig(), json.loads(_read(args.config)) if args.config else {},
+                     "generation")
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    _generate(config, Path(args.out))
     return EXIT_OK
 
 
@@ -375,37 +470,32 @@ def _load_program_dir(program_dir):
 
 
 def cmd_fuzz(args) -> int:
+    """Program 0 of a run with these settings: ``--seed`` is the master seed."""
     grammar, program = _load_program_dir(args.program)
+    cfg = ExperimentConfig(
+        master_seed=args.seed, trials_k=args.trials, n_seeds=args.n_seeds,
+        max_depth=args.max_depth,
+        campaign=CampaignConfig(budget_n=args.budget, unit_size_r=args.unit_size))
     out = Path(args.out)
-    jobs = [
-        CampaignJob(grammar, program, args.n_seeds, args.max_depth,
-                    derive_seed(args.seed, "seeds", k),
-                    CampaignConfig(trial_seed=derive_seed(args.seed, "campaign", k),
-                                   budget_n=args.budget, unit_size_r=args.unit_size))
-        for k in range(args.trials)
-    ]
+    [trials] = _fuzz(cfg, [(0, grammar, program, out)])
     failures = 0
-    with _pool_results(_fuzz_campaign, jobs) as (_, results):
-        for k, (job, result) in enumerate(zip(jobs, results)):
-            try:
-                res = result()
-            except Exception:
-                log.exception("trial %d failed", k)
-                failures += 1
-                continue
-            _write(out / f"trial{k:03d}.units.txt", res.units_text)
-            summary = {
-                "trial": k,
-                "t": res.matrix.t,
-                "unit_size_r": job.config.unit_size_r,
-                "discovered": len(res.matrix.element_ids),
-                "executions_per_second": round(res.executions_per_second, 1),
-                "parser_runs": res.parser_runs,
-                "final_corpus_size": res.final_corpus_size,
-                "budget_n": args.budget,
-                "trial_seed": job.config.trial_seed,
-            }
-            _write(out / f"trial{k:03d}.summary.json", json.dumps(summary, indent=2) + "\n")
+    for k, (job, res) in enumerate(trials):
+        if isinstance(res, Exception):
+            log.error("trial %d failed", k, exc_info=res)
+            failures += 1
+            continue
+        summary = {
+            "trial": k,
+            "t": res.matrix.t,
+            "unit_size_r": job.config.unit_size_r,
+            "discovered": len(res.matrix.element_ids),
+            "executions_per_second": round(res.executions_per_second, 1),
+            "parser_runs": res.parser_runs,
+            "final_corpus_size": res.final_corpus_size,
+            "budget_n": args.budget,
+            "trial_seed": job.config.trial_seed,
+        }
+        _write(out / f"trial{k:03d}.summary.json", json.dumps(summary, indent=2) + "\n")
     if failures == args.trials:
         return EXIT_RUNTIME
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -491,25 +581,6 @@ def cmd_import_incidence(args) -> int:
 # Full pipeline: run
 # ---------------------------------------------------------------------------
 
-DEFAULT_EXPERIMENT = {
-    "master_seed": 1,
-    "n_programs": 1,
-    "generation": {"n_nonterminals": 8, "alphabet_size": 12},
-    "campaign": {"budget_n": 10_000, "unit_size_r": 10},
-    "trials_k": 2,
-    "n_seeds": 10,
-    "max_depth": 20,
-    "unit_sizes": [10, 20],
-    "estimators": "all",
-    "ci_level": 0.90,
-    "alpha": 0.05,
-    "checkpoints": None,
-    # Bootstrap replicates for experiment-stage CIs; the standalone estimate
-    # API defaults to 500, smaller here to keep smoke runs fast on one core.
-    "bootstrap_b": 200,
-}
-
-
 def _stage_done(stage_dir: Path, digest: str) -> bool:
     marker = stage_dir / ".stage.digest"
     return marker.exists() and marker.read_text().strip() == digest
@@ -521,116 +592,45 @@ def _stage_mark(stage_dir: Path, digest: str):
 
 def run_experiment(config: dict, out_dir) -> int:
     """Generate -> compile -> fuzz -> estimate -> evaluate -> sensitivity."""
-    if not isinstance(config, dict):
-        raise ValueError(f"a run config must be a JSON object, got {config!r}")
-    cfg = dict(DEFAULT_EXPERIMENT)
-    cfg.update(_known_keys(DEFAULT_EXPERIMENT, config, "run config"))
-    # Every check runs before the first write or fork.
-    level = cfg["ci_level"]
-    check_level(level)
-    check_alpha(cfg["alpha"])
-    for key in ("n_programs", "trials_k", "n_seeds", "max_depth", "bootstrap_b"):
-        check_count(key, cfg[key])
-    master = cfg["master_seed"]
-    if isinstance(master, bool) or not isinstance(master, numbers.Integral):
-        raise ValueError(f"master_seed must be an integer, got {master!r}")
-    campaigns = [
-        [_campaign_config_from_dict(cfg["campaign"],
-                                    trial_seed=derive_seed(master, f"campaign:{b}", k))
-         for k in range(cfg["trials_k"])]
-        for b in range(cfg["n_programs"])
-    ]
-    for trials in campaigns:
-        for camp in trials:
-            camp.validate()
-    base_r = campaigns[0][0].unit_size_r
-    check_unit_sizes(cfg["unit_sizes"], base_r)
-    gens = [_gen_config_from_dict(cfg["generation"], seed=derive_seed(master, "grammar", b))
-            for b in range(cfg["n_programs"])]
-    for gen in gens:
-        gen.validate()
-    methods = cfg["estimators"]
-    if methods == "all":
-        methods = ALL_METHODS
-    elif isinstance(methods, list) and methods:
-        methods = tuple(methods)
-        check_methods(methods)
-    else:
-        raise ValueError(
-            f"estimators must be 'all' or a non-empty list of method names, got {methods!r}")
-    if cfg["checkpoints"] is not None:
-        if not isinstance(cfg["checkpoints"], list):
-            raise ValueError("checkpoints must be a list of unit counts, "
-                             f"got {cfg['checkpoints']!r}")
-        t_max = campaigns[0][0].budget_n // base_r  # every campaign's unit count
-        for t_cp in cfg["checkpoints"]:
-            check_count("checkpoints", t_cp)
-            if t_cp > t_max:
-                raise ValueError(f"checkpoint {t_cp} exceeds the campaigns' {t_max} units")
-        if len(set(cfg["checkpoints"])) < len(cfg["checkpoints"]):
-            raise ValueError(f"checkpoints repeat a unit count: {cfg['checkpoints']!r}")
+    cfg = ExperimentConfig.from_json(config)
+    cfg.validate()
+    master = cfg.master_seed
+    methods = ALL_METHODS if cfg.estimators == "all" else cfg.estimators
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     timings = {}
-    manifest = {"version": __version__, "config": cfg, "stages": {}, "artifacts": {}}
-    cfg_digest = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, default=str).encode()
-    ).hexdigest()
-    status = EXIT_OK
+    manifest = {"version": __version__, "config": cfg.to_json(), "stages": {}, "artifacts": {}}
+    digest = hashlib.sha256(json.dumps(manifest["config"], sort_keys=True).encode()).hexdigest()
 
     # Stage 1: grammars + programs.
     t0 = time.perf_counter()
-    gdir = out / "grammars"
     programs = []
-    for b, gen in enumerate(gens):
-        gsub = gdir / f"prog{b:03d}"
-        grammar, label = generate_grammar(gen)
-        program = compile_to_parser(grammar, label)
-        programs.append((grammar, label, program))
-        if not _stage_done(gsub, cfg_digest):
-            _write(gsub / "grammar.txt", serialize_grammar(grammar))
-            _write(gsub / "label.txt", serialize_label(label))
-            _write(gsub / "parser.c", export_c_source(program))
-            _write(gsub / "elements.txt", element_manifest(program))
-            meta = {
-                "seed": gen.seed,
-                "cyclomatic_complexity": cyclomatic_complexity(program),
-                "true_richness": len(program.ground_truth),
-                "generation": cfg["generation"],
-            }
-            _write(gsub / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
-            _stage_mark(gsub, cfg_digest)
+    for b in range(cfg.n_programs):
+        gsub = out / "grammars" / f"prog{b:03d}"
+        programs.append(_generate(replace(cfg.generation, seed=derive_seed(master, "grammar", b)),
+                                  gsub))
+        _stage_mark(gsub, digest)
     timings["generate"] = time.perf_counter() - t0
 
-    # Stage 2: fuzzing campaigns, on the worker pool; results in (b, k) order.
+    # Stage 2: fuzzing campaigns of the programs not fuzzed yet.
     t0 = time.perf_counter()
-    idir = out / "incidence"
-    done = [_stage_done(idir / f"prog{b:03d}", cfg_digest) for b in range(cfg["n_programs"])]
-    jobs = [
-        CampaignJob(grammar, program, cfg["n_seeds"], cfg["max_depth"],
-                    derive_seed(master, f"seeds:{b}", k), camp)
-        for b, (grammar, _, program) in enumerate(programs) if not done[b]
-        for k, camp in enumerate(campaigns[b])
-    ]
-    all_logs = {}
+    logs, todo = [None] * cfg.n_programs, []
+    for b, (grammar, program) in enumerate(programs):
+        psub = out / "incidence" / f"prog{b:03d}"
+        if _stage_done(psub, digest):
+            logs[b] = [build_incidence_matrix(parse_units(_read(psub / f"trial{k:03d}.units.txt")))
+                       for k in range(cfg.trials_k)]
+        else:
+            todo.append((b, grammar, program, psub))
+    manifest["fuzz_workers"] = _pool_workers(len(todo) * cfg.trials_k)
     manifest["parser_runs"] = {}  # per program fuzzed in this run
-    with _pool_results(_fuzz_campaign, jobs) as (workers, results):
-        manifest["fuzz_workers"] = workers
-        for b in range(cfg["n_programs"]):
-            psub = idir / f"prog{b:03d}"
-            if done[b]:
-                all_logs[b] = [build_incidence_matrix(parse_units(
-                    _read(psub / f"trial{k:03d}.units.txt"))) for k in range(cfg["trials_k"])]
-                continue
-            logs = []
-            manifest["parser_runs"][psub.name] = 0
-            for k in range(cfg["trials_k"]):
-                res = next(results)()
-                _write(psub / f"trial{k:03d}.units.txt", res.units_text)
-                logs.append(res.matrix)
-                manifest["parser_runs"][psub.name] += res.parser_runs
-            _stage_mark(psub, cfg_digest)
-            all_logs[b] = logs
+    with closing(_fuzz(cfg, todo)) as stage:
+        for (b, _, _, psub), trials in zip(todo, stage):
+            for _, res in trials:
+                if isinstance(res, Exception):
+                    raise res
+            logs[b] = [res.matrix for _, res in trials]
+            manifest["parser_runs"][psub.name] = sum(res.parser_runs for _, res in trials)
+            _stage_mark(psub, digest)
     timings["fuzz"] = time.perf_counter() - t0
 
     # Stage 3: estimates at checkpoints.  A method's jobs are one pool job.
@@ -638,33 +638,32 @@ def run_experiment(config: dict, out_dir) -> int:
     edir = out / "estimates"
     shard_workers = _pool_workers(len(set(methods)))
     manifest["estimate_workers"] = 0
-    for b, (grammar, label, program) in enumerate(programs):
+    t_max = cfg.campaign.budget_n // cfg.campaign.unit_size_r  # every campaign's
+    checkpoints = cfg.checkpoints or sorted(
+        {max(2, t_max // 8), max(2, t_max // 4), max(2, t_max // 2), t_max})
+    n_rows = len(checkpoints) * len(methods)  # per trial
+    for b, trials in enumerate(logs):
         esub = edir / f"prog{b:03d}"
-        if _stage_done(esub, cfg_digest):
+        if _stage_done(esub, digest):
             continue
         # One estimate batch for the program: every trial, checkpoint and method.
-        jobs, per_trial = [], []
-        for k, trial in enumerate(all_logs[b]):
-            t_max = trial.t
-            checkpoints = cfg["checkpoints"] or sorted(
-                {max(2, t_max // 8), max(2, t_max // 4), max(2, t_max // 2), t_max}
-            )
+        jobs = []
+        for k, trial in enumerate(trials):
             for t_cp in checkpoints:
                 matrix, seed = head(trial, t_cp), derive_seed(master, f"ci:{b}:{t_cp}", k)
                 jobs += [(matrix, m, seed) for m in methods]
-            per_trial.append(len(checkpoints) * len(methods))
-        rows = iter(_estimate_rows(jobs, level, boot_b=cfg["bootstrap_b"]))
+        rows = _estimate_rows(jobs, cfg.ci_level, boot_b=cfg.bootstrap_b)
         manifest["estimate_workers"] = shard_workers
-        for k, n_rows in enumerate(per_trial):
+        for k in range(cfg.trials_k):
             _write_csv(esub / f"trial{k:03d}.csv", ESTIMATE_FIELDS,
-                       [next(rows) for _ in range(n_rows)])
-        _stage_mark(esub, cfg_digest)
+                       rows[k * n_rows:(k + 1) * n_rows])
+        _stage_mark(esub, digest)
     timings["estimate"] = time.perf_counter() - t0
 
     # Stage 4: RQ1 report against ground truth.
     t0 = time.perf_counter()
     report = []
-    for b, (grammar, label, program) in enumerate(programs):
+    for b, (_, program) in enumerate(programs):
         report += rq1_report(edir / f"prog{b:03d}", len(program.ground_truth), program=b)
     _write(out / "report.json", json.dumps(report, indent=2) + "\n")
     _write_csv(out / "report.csv", RUN_REPORT_FIELDS, report)
@@ -672,13 +671,13 @@ def run_experiment(config: dict, out_dir) -> int:
 
     # Stage 5: RQ2 sensitivity on rebinned logs.
     t0 = time.perf_counter()
-    manifest["sensitivity_workers"] = shard_workers if all_logs else 0
-    for b in all_logs:
+    manifest["sensitivity_workers"] = shard_workers
+    for b, trials in enumerate(logs):
         verdicts = sensitivity_analysis(
-            all_logs[b], cfg["unit_sizes"], methods,
-            alpha=cfg["alpha"], level=level, base_r=base_r,
+            trials, cfg.unit_sizes, methods,
+            alpha=cfg.alpha, level=cfg.ci_level, base_r=cfg.campaign.unit_size_r,
             seed=derive_seed(master, f"sensitivity:{b}"),
-            batch=_estimates, boot_b=cfg["bootstrap_b"],
+            batch=_estimates, boot_b=cfg.bootstrap_b,
         )
         _write_verdicts(out / f"verdicts_prog{b:03d}.csv", verdicts)
     timings["sensitivity"] = time.perf_counter() - t0
@@ -688,7 +687,7 @@ def run_experiment(config: dict, out_dir) -> int:
             manifest["artifacts"][str(path.relative_to(out))] = _sha256_file(path)
     manifest["stages"] = {k: round(v, 3) for k, v in timings.items()}
     _write(out / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return status
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:

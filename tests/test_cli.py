@@ -43,6 +43,8 @@ TINY_RUN = {
     "estimators": ["chao2", "jk1"],
     "bootstrap_b": 30,
 }
+# One meta.json schema, from ``run`` and from ``gen-grammar``.
+META_KEYS = {"seed", "cyclomatic_complexity", "n_elements", "true_richness", "generation"}
 
 
 def test_seed_derivation_stable_and_distinct():
@@ -109,6 +111,7 @@ def test_stagewise_pipeline(tmp_path):
     assert (gdir / "grammar.txt").exists()
     meta = json.loads((gdir / "meta.json").read_text())
     assert meta["true_richness"] > 0
+    assert set(meta) == META_KEYS and meta["seed"] == 3
 
     pdir = tmp_path / "p"
     rc = main(["gen-parser", "--grammar", str(gdir / "grammar.txt"),
@@ -259,8 +262,7 @@ class TestExitCodes:
         ("bootstrap_b", -1, "bootstrap_b must be an integer >= 1, got -1"),
         ("campaign", {"budget_n": -5}, "budget_n must be an integer >= 1, got -5"),
         ("campaign", {"unit_size_r": "10"}, "unit_size_r must be an integer >= 1, got '10'"),
-        # A partial campaign dict falls back to CampaignConfig's unit size, 100.
-        ("campaign", {"budget_n": 500}, "unit size 10 is not a multiple of base 100"),
+        ("campaign", {"unit_size_r": 100}, "unit size 10 is not a multiple of base 100"),
         ("unit_sizes", [7, 10], "unit size 7 is not a multiple of base 10"),
         ("unit_sizes", [10], "need at least two unit sizes"),
         ("unit_sizes", [10, "20"], "unit sizes must be integers"),
@@ -282,6 +284,10 @@ class TestExitCodes:
         ("checkpoints", [5000, 1000], "checkpoint 5000 exceeds the campaigns' 1000 units"),
         ("checkpoints", [100, 100], "checkpoints repeat a unit count: [100, 100]"),
         ("trial_k", 3, "unknown run config key(s): 'trial_k'"),
+        ("generation", {"seed": 3},
+         "generation.seed is derived from master_seed and cannot be set"),
+        ("campaign", {"budget_n": 500, "trial_seed": 3},
+         "campaign.trial_seed is derived from master_seed and cannot be set"),
     ])
     def test_bad_run_levels_are_config_errors_before_any_work(self, tmp_path, caplog, key,
                                                               value, message):
@@ -331,6 +337,10 @@ class TestRun:
         for rel in manifest["artifacts"]:
             assert (out / rel).exists()
         assert "report.csv" in manifest["artifacts"]
+        # The manifest records the resolved config, which reads back as itself.
+        resolved = cli.ExperimentConfig.from_json(TINY_RUN)
+        assert manifest["config"] == resolved.to_json()
+        assert cli.ExperimentConfig.from_json(manifest["config"]) == resolved
 
     def test_reruns_are_digest_identical(self, tmp_path):
         a = self._run(tmp_path, "runA")
@@ -357,14 +367,54 @@ class TestRun:
         text = capsys.readouterr().out
         assert "chao2" in text and "bias=" in text
 
-    def test_partial_campaign_dict_takes_campaign_config_defaults(self, tmp_path):
+    def test_partial_nested_objects_keep_the_run_defaults(self, tmp_path):
+        """A nested object is merged over the run's defaults at its level, and
+        ``meta.json`` records the resolved generation settings."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(dict(TINY_RUN, campaign={"budget_n": 1000},
-                                       unit_sizes=[100, 200])))
+        cfg.write_text(json.dumps({"generation": {"n_nonterminals": 8},
+                                   "campaign": {"budget_n": 200}, "estimators": ["chao2"]}))
         out = tmp_path / "run"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        # Restating a default gives the default run's grammar.
+        gdir = out / "grammars/prog000"
+        assert ((gdir / "grammar.txt").read_bytes()
+                == (DATA_DIR / "golden/smoke/grammars/prog000/grammar.txt").read_bytes())
+        meta = json.loads((gdir / "meta.json").read_text())
+        assert set(meta) == META_KEYS
+        assert meta["generation"] == cli.DEFAULT_EXPERIMENT["generation"]
+        assert meta["seed"] == derive_seed(1, "grammar", 0)
         units = parse_units((out / "incidence/prog000/trial000.units.txt").read_text())
-        assert len(units) == 10  # unit_size_r fell back to 100
+        assert len(units) == 20  # unit_size_r kept the run's 10
+
+    def test_stage_commands_reproduce_the_run(self, tmp_path):
+        """``fuzz`` on a run's program 0, with the run's settings and master
+        seed, gives its campaigns; ``estimate`` with a checkpoint's seed gives
+        the run's estimates at that checkpoint."""
+        config = dict(TINY_RUN, ci_level=0.0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        run = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out", str(run)]) == EXIT_OK
+        master, campaign = config["master_seed"], config["campaign"]
+        assert main(["fuzz", "--program", str(run / "grammars/prog000"),
+                     "--trials", str(config["trials_k"]), "--budget", str(campaign["budget_n"]),
+                     "--unit-size", str(campaign["unit_size_r"]),
+                     "--n-seeds", str(cli.DEFAULT_EXPERIMENT["n_seeds"]),
+                     "--max-depth", str(cli.DEFAULT_EXPERIMENT["max_depth"]), "--seed", str(master),
+                     "--out", str(tmp_path / "f")]) == EXIT_OK
+        logs = sorted((run / "incidence/prog000").glob("trial*.units.txt"))
+        assert len(logs) == config["trials_k"]
+        for path in logs:
+            assert (tmp_path / "f" / path.name).read_bytes() == path.read_bytes()
+        t = campaign["budget_n"] // campaign["unit_size_r"]
+        est = tmp_path / "e.csv"
+        assert main(["estimate", "--incidence", str(logs[0]), "--level", "0",
+                     "--methods", ",".join(config["estimators"]),
+                     "--seed", str(derive_seed(master, f"ci:0:{t}", 0)),
+                     "--out", str(est)]) == EXIT_OK
+        rows = list(csv.DictReader((run / "estimates/prog000/trial000.csv").open()))
+        assert (list(csv.DictReader(est.open()))
+                == [r for r in rows if r["t"] == str(t)])
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +527,7 @@ class TestCampaignPool:
     def test_fuzz_keeps_other_trials_when_one_fails(self, tmp_path, monkeypatch, program_dir,
                                                     cpus):
         _cpus(monkeypatch, cpus)
-        _fail_on(monkeypatch, derive_seed(2, "campaign", 1), RuntimeError("boom"))
+        _fail_on(monkeypatch, derive_seed(2, "campaign:0", 1), RuntimeError("boom"))
         out = tmp_path / "f"
         assert _fuzz(program_dir, out) == EXIT_PARTIAL
         assert multiprocessing.active_children() == []
@@ -486,7 +536,7 @@ class TestCampaignPool:
             "trial002.summary.json", "trial002.units.txt",
         ]
         summary = json.loads((out / "trial002.summary.json").read_text())
-        assert summary["t"] == 30 and summary["trial_seed"] == derive_seed(2, "campaign", 2)
+        assert summary["t"] == 30 and summary["trial_seed"] == derive_seed(2, "campaign:0", 2)
 
 
 # Method shards of the estimate and sensitivity stages.
