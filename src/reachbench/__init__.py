@@ -53,6 +53,5 @@ from .incidence import (
     build_incidence_matrix,
     frequency_counts,
     rebin,
-    saturation_indicator,
 )
 from .stattests import mann_whitney_u, shapiro_wilk, welch_t_test

@@ -9,7 +9,8 @@ program 0: ``fuzz --seed M`` on a run's ``grammars/prog000``, given the
 run's campaign settings, reproduces its campaigns.  Every stage is
 deterministic: sub-seeds are derived as sha256(master, purpose-label,
 index).  A rerun into the same directory skips a program's campaigns and
-estimates when their stage marker holds the digest of the same config.
+estimates when their stage marker holds the digest of the same config and
+the sha256 that each trial file the stage wrote still has.
 
 The campaigns (one job per program and trial) and the estimate batches
 (one job per estimator method) run on a ``fork`` pool of ``min(usable
@@ -428,35 +429,32 @@ def cmd_gen_parser(args) -> int:
     label = parse_label(_read(args.label)) if args.label else None
     program = compile_to_parser(grammar, label)
     out = Path(args.out)
-    emit = set(args.emit.split(","))
     _write(out / "grammar.txt", serialize_grammar(grammar))
     if args.label:
         _write(out / "label.txt", _read(args.label))
-    if "c" in emit:
-        _write(out / "parser.c", export_c_source(program))
-    if "ir" in emit:
-        ir = {
-            "start": program.start,
-            "digest": program.source_grammar_digest,
-            "procedures": [
-                {
-                    "nonterminal": p.nonterminal,
-                    "error_element": p.error_element_id,
-                    "dead_elements": list(p.dead_element_ids),
-                    "arms": [
-                        {
-                            "rule": a.rule_id,
-                            "element": a.element_id,
-                            "loop": a.is_loop,
-                            "predict": sorted(a.predict),
-                        }
-                        for a in p.arms
-                    ],
-                }
-                for p in program.procedures
-            ],
-        }
-        _write(out / "parser.ir.json", json.dumps(ir, indent=2) + "\n")
+    _write(out / "parser.c", export_c_source(program))
+    ir = {
+        "start": program.start,
+        "digest": program.source_grammar_digest,
+        "procedures": [
+            {
+                "nonterminal": p.nonterminal,
+                "error_element": p.error_element_id,
+                "dead_elements": list(p.dead_element_ids),
+                "arms": [
+                    {
+                        "rule": a.rule_id,
+                        "element": a.element_id,
+                        "loop": a.is_loop,
+                        "predict": sorted(a.predict),
+                    }
+                    for a in p.arms
+                ],
+            }
+            for p in program.procedures
+        ],
+    }
+    _write(out / "parser.ir.json", json.dumps(ir, indent=2) + "\n")
     _write(out / "elements.txt", element_manifest(program))
     return EXIT_OK
 
@@ -471,11 +469,14 @@ def _load_program_dir(program_dir):
 
 def cmd_fuzz(args) -> int:
     """Program 0 of a run with these settings: ``--seed`` is the master seed."""
-    grammar, program = _load_program_dir(args.program)
     cfg = ExperimentConfig(
         master_seed=args.seed, trials_k=args.trials, n_seeds=args.n_seeds,
         max_depth=args.max_depth,
         campaign=CampaignConfig(budget_n=args.budget, unit_size_r=args.unit_size))
+    for key in ("trials_k", "n_seeds", "max_depth"):
+        check_count(key, getattr(cfg, key))
+    cfg.campaign.validate()
+    grammar, program = _load_program_dir(args.program)
     out = Path(args.out)
     [trials] = _fuzz(cfg, [(0, grammar, program, out)])
     failures = 0
@@ -581,13 +582,23 @@ def cmd_import_incidence(args) -> int:
 # Full pipeline: run
 # ---------------------------------------------------------------------------
 
-def _stage_done(stage_dir: Path, digest: str) -> bool:
-    marker = stage_dir / ".stage.digest"
-    return marker.exists() and marker.read_text().strip() == digest
+def _stage_marker(stage_dir: Path, digest: str, names) -> str:
+    """What a stage's ``.stage.digest`` holds once its files ``names`` in
+    ``stage_dir`` are written: the config ``digest``, then each file's sha256
+    and name, one a line.  The stage is done while its marker reads so."""
+    return digest + "\n" + "".join(f"{_sha256_file(stage_dir / n)}  {n}\n" for n in names)
 
 
-def _stage_mark(stage_dir: Path, digest: str):
-    _write(stage_dir / ".stage.digest", digest + "\n")
+def _stage_done(stage_dir: Path, digest: str, names) -> bool:
+    try:
+        marker = (stage_dir / ".stage.digest").read_bytes()
+        return marker == _stage_marker(stage_dir, digest, names).encode()
+    except OSError:  # the marker or a file is missing
+        return False
+
+
+def _stage_mark(stage_dir: Path, digest: str, names):
+    _write(stage_dir / ".stage.digest", _stage_marker(stage_dir, digest, names))
 
 
 def run_experiment(config: dict, out_dir) -> int:
@@ -605,20 +616,19 @@ def run_experiment(config: dict, out_dir) -> int:
     t0 = time.perf_counter()
     programs = []
     for b in range(cfg.n_programs):
-        gsub = out / "grammars" / f"prog{b:03d}"
         programs.append(_generate(replace(cfg.generation, seed=derive_seed(master, "grammar", b)),
-                                  gsub))
-        _stage_mark(gsub, digest)
+                                  out / "grammars" / f"prog{b:03d}"))
     timings["generate"] = time.perf_counter() - t0
 
     # Stage 2: fuzzing campaigns of the programs not fuzzed yet.
     t0 = time.perf_counter()
     logs, todo = [None] * cfg.n_programs, []
+    units_files = [f"trial{k:03d}.units.txt" for k in range(cfg.trials_k)]
     for b, (grammar, program) in enumerate(programs):
         psub = out / "incidence" / f"prog{b:03d}"
-        if _stage_done(psub, digest):
-            logs[b] = [build_incidence_matrix(parse_units(_read(psub / f"trial{k:03d}.units.txt")))
-                       for k in range(cfg.trials_k)]
+        if _stage_done(psub, digest, units_files):
+            logs[b] = [build_incidence_matrix(parse_units(_read(psub / name)))
+                       for name in units_files]
         else:
             todo.append((b, grammar, program, psub))
     manifest["fuzz_workers"] = _pool_workers(len(todo) * cfg.trials_k)
@@ -630,7 +640,7 @@ def run_experiment(config: dict, out_dir) -> int:
                     raise res
             logs[b] = [res.matrix for _, res in trials]
             manifest["parser_runs"][psub.name] = sum(res.parser_runs for _, res in trials)
-            _stage_mark(psub, digest)
+            _stage_mark(psub, digest, units_files)
     timings["fuzz"] = time.perf_counter() - t0
 
     # Stage 3: estimates at checkpoints.  A method's jobs are one pool job.
@@ -642,9 +652,10 @@ def run_experiment(config: dict, out_dir) -> int:
     checkpoints = cfg.checkpoints or sorted(
         {max(2, t_max // 8), max(2, t_max // 4), max(2, t_max // 2), t_max})
     n_rows = len(checkpoints) * len(methods)  # per trial
+    estimate_files = [f"trial{k:03d}.csv" for k in range(cfg.trials_k)]
     for b, trials in enumerate(logs):
         esub = edir / f"prog{b:03d}"
-        if _stage_done(esub, digest):
+        if _stage_done(esub, digest, estimate_files):
             continue
         # One estimate batch for the program: every trial, checkpoint and method.
         jobs = []
@@ -654,10 +665,9 @@ def run_experiment(config: dict, out_dir) -> int:
                 jobs += [(matrix, m, seed) for m in methods]
         rows = _estimate_rows(jobs, cfg.ci_level, boot_b=cfg.bootstrap_b)
         manifest["estimate_workers"] = shard_workers
-        for k in range(cfg.trials_k):
-            _write_csv(esub / f"trial{k:03d}.csv", ESTIMATE_FIELDS,
-                       rows[k * n_rows:(k + 1) * n_rows])
-        _stage_mark(esub, digest)
+        for k, name in enumerate(estimate_files):
+            _write_csv(esub / name, ESTIMATE_FIELDS, rows[k * n_rows:(k + 1) * n_rows])
+        _stage_mark(esub, digest, estimate_files)
     timings["estimate"] = time.perf_counter() - t0
 
     # Stage 4: RQ1 report against ground truth.
@@ -728,7 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-parser", help="compile a grammar to a parser program")
     p.add_argument("--grammar", required=True)
     p.add_argument("--label")
-    p.add_argument("--emit", default="ir,c", help="comma list of ir,c")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_parser)
 

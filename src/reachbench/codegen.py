@@ -28,7 +28,6 @@ from .grammar import (
     TOKEN_DOMAIN_SIZE,
     Grammar,
     GrammarError,
-    PredictTable,
     check_ll1,
     compute_first_follow,
     reachable_nonterminals,
@@ -155,7 +154,7 @@ def compile_to_parser(grammar: Grammar, label: GroundTruthLabel = None) -> Parse
         dispatch[nt] = dmap
 
     digest = hashlib.sha256(serialize_grammar(grammar).encode()).hexdigest()
-    truth = _ground_truth(procedures, grammar, table, label)
+    truth = _ground_truth(procedures, grammar, label)
     return ParserProgram(
         start=grammar.start,
         procedures=tuple(procedures),
@@ -167,7 +166,14 @@ def compile_to_parser(grammar: Grammar, label: GroundTruthLabel = None) -> Parse
     )
 
 
-def _ground_truth(procedures, grammar, table, label, include_error_exits=True):
+def _ground_truth(procedures, grammar, label):
+    """The exact set of reachable element ids (true maximum reachability S).
+
+    A rule-arm element is reachable iff its rule is ground-truth reachable;
+    dead guards never are; an error exit is reachable iff its procedure is
+    start-reachable and the union of its arms' PREDICT sets leaves some
+    token (byte or end-of-input) unclaimed.
+    """
     reach = reachable_nonterminals(grammar)
     expect_reachable = {r.rule_id for r in grammar.rules if r.lhs in reach}
     if expect_reachable != set(label.reachable_rules):
@@ -181,31 +187,9 @@ def _ground_truth(procedures, grammar, table, label, include_error_exits=True):
             predict_union |= arm.predict
             if arm.rule_id in label.reachable_rules:
                 truth.add(arm.element_id)
-        if (
-            include_error_exits
-            and proc.nonterminal in reach
-            and len(predict_union) < TOKEN_DOMAIN_SIZE
-        ):
+        if proc.nonterminal in reach and len(predict_union) < TOKEN_DOMAIN_SIZE:
             truth.add(proc.error_element_id)
     return frozenset(truth)
-
-
-def ground_truth_elements(
-    program: ParserProgram,
-    grammar: Grammar,
-    table: PredictTable,
-    label: GroundTruthLabel,
-    include_error_exits: bool = True,
-) -> frozenset:
-    """The exact set of reachable element ids (true maximum reachability S).
-
-    A rule-arm element is reachable iff its rule is ground-truth reachable;
-    dead guards never are; an error exit is reachable iff its procedure is
-    start-reachable and the union of its arms' PREDICT sets leaves some
-    token (byte or end-of-input) unclaimed.
-    """
-    label.validate_against(grammar)
-    return _ground_truth(program.procedures, grammar, table, label, include_error_exits)
 
 
 def execute_parser(program: ParserProgram, data: bytes, step_budget: int = 1_000_000) -> ExecutionResult:

@@ -91,12 +91,17 @@ class EstimateWithCI:
 @dataclass(frozen=True)
 class EMConfig:
     grid_size: int = 40
-    max_support: int = 20
     tol: float = 1e-9
     max_iter: int = 5000
-    penalty: float = 1.0  # pseudo-count shrinkage of the unobserved class
-    prune_weight: float = 1e-6
-    merge_tol: float = 1e-3
+
+
+#: Pseudo-count by which ``pnpmle`` shrinks the unobserved class.
+NPMLE_PENALTY = 1.0
+#: A fitted mixture keeps its support points of weight above this, merged when
+#: closer than ``NPMLE_MERGE_TOL``, and then its ``NPMLE_MAX_SUPPORT`` heaviest.
+NPMLE_PRUNE_WEIGHT = 1e-6
+NPMLE_MERGE_TOL = 1e-3
+NPMLE_MAX_SUPPORT = 20
 
 
 def _failed(method, level, reason):
@@ -373,7 +378,7 @@ def _em_start(t, ks, fks, penalized, cfg, per_t=None):
     terms[:, :, 2] = ks
     tcol = t.astype(np.float64).reshape(rows, 1)
     n = fks.sum(axis=1)
-    n_aug = np.maximum(n - (cfg.penalty if penalized else 0.0), 0.0)
+    n_aug = np.maximum(n - (NPMLE_PENALTY if penalized else 0.0), 0.0)
     data = (terms, ks, fks, n, n_aug, _pi_floor(tcol))
     return tcol, data, np.full((rows, cfg.grid_size), 1.0 / cfg.grid_size), pis
 
@@ -582,12 +587,12 @@ def _npmle(counts_list, penalized: bool, cfg: EMConfig, stack_rows=None):
                    np.frombuffer(fks).reshape(-1, width), penalized, cfg, stack_rows)
         for rows, *fit in fits:
             for j, row in enumerate(rows.tolist()):
-                results[members[row]] = _npmle_finish(ts[row], s_obs[row], penalized, cfg,
+                results[members[row]] = _npmle_finish(ts[row], s_obs[row], penalized,
                                                       *(a[j] for a in fit))
     return results
 
 
-def _npmle_finish(t, n, penalized, cfg, w, pis, ll, iters, ll_delta, converged):
+def _npmle_finish(t, n, penalized, w, pis, ll, iters, ll_delta, converged):
     """Prune and merge one fitted mixture of a count vector of t units and
     n observed elements, then turn it into a point estimate."""
     if not converged:
@@ -597,14 +602,14 @@ def _npmle_finish(t, n, penalized, cfg, w, pis, ll, iters, ll_delta, converged):
             "ll_delta": float(ll_delta),
         }
     # Prune negligible weights and merge near-identical support points.
-    keep = w > cfg.prune_weight
+    keep = w > NPMLE_PRUNE_WEIGHT
     w, pis = w[keep], pis[keep]
     w /= w.sum()
     order = np.argsort(pis)
     w, pis = w[order], pis[order]
     merged_w, merged_p = [], []
     for wi, pi in zip(w, pis):
-        if merged_p and pi - merged_p[-1] < cfg.merge_tol:
+        if merged_p and pi - merged_p[-1] < NPMLE_MERGE_TOL:
             tot = merged_w[-1] + wi
             merged_p[-1] = (merged_p[-1] * merged_w[-1] + pi * wi) / tot
             merged_w[-1] = tot
@@ -613,8 +618,8 @@ def _npmle_finish(t, n, penalized, cfg, w, pis, ll, iters, ll_delta, converged):
             merged_w.append(wi)
     w = np.array(merged_w)
     pis = np.array(merged_p)
-    if len(w) > cfg.max_support:
-        top = np.argsort(w)[-cfg.max_support:]
+    if len(w) > NPMLE_MAX_SUPPORT:
+        top = np.argsort(w)[-NPMLE_MAX_SUPPORT:]
         w, pis = w[np.sort(top)], pis[np.sort(top)]
         w /= w.sum()
 

@@ -117,7 +117,7 @@ def label_for(grammar: Grammar) -> GroundTruthLabel:
     return GroundTruthLabel(reachable, unreachable)
 
 
-def _gen_component(rng, names, alphabet, config, allow_epsilon):
+def _gen_component(rng, names, alphabet, config):
     """Generate rule right-hand sides for one connected component of nonterminals.
 
     ``names`` are ranked: names[0] is the component root.  Returns a list of
@@ -219,7 +219,7 @@ def _gen_component(rng, names, alphabet, config, allow_epsilon):
 
         # Optional epsilon rule replaces the escape body (kept LL(1) by the
         # caller's conflict check and retry loop).
-        if allow_epsilon and rng.random() < 0.15 and len(rules) > 1:
+        if config.allow_epsilon and rng.random() < 0.15 and len(rules) > 1:
             rules[-1] = ["__EPS__"]
 
         out.extend((nt, rule) for rule in rules)
@@ -227,13 +227,9 @@ def _gen_component(rng, names, alphabet, config, allow_epsilon):
 
 
 def _build(rng, config, core_names, extra_names, alphabet):
-    rows = _gen_component(rng, core_names, alphabet, config, config.allow_epsilon)
-    for root_i in range(len(extra_names)):
-        rows.extend(
-            _gen_component(
-                rng, [extra_names[root_i]], alphabet, config, config.allow_epsilon
-            )
-        )
+    rows = _gen_component(rng, core_names, alphabet, config)
+    for name in extra_names:
+        rows.extend(_gen_component(rng, [name], alphabet, config))
     names = list(core_names) + list(extra_names)
     rules = []
     for rid, (lhs, body) in enumerate(rows):
@@ -293,53 +289,6 @@ def generate_grammar(config: GenConfig):
         f"generation failed after {config.max_attempts} attempts; "
         f"binding constraint: {last_problem}"
     )
-
-
-def inject_unreachable(grammar: Grammar, label: GroundTruthLabel, config: GenConfig):
-    """Add unreachable nonterminals and dead-branch marks to an existing grammar.
-
-    The additions are fully formed (productive, LL(1)) but never referenced
-    from the start component; dead-branch marks are annotations that the
-    code generator lowers to statically false guards.  Returns the extended
-    ``(grammar, label)``.
-    """
-    config.validate()
-    label.validate_against(grammar)
-    if config.n_unreachable == 0 and config.n_dead_branches == 0:
-        return grammar, label
-    rng = random.Random(config.seed ^ 0x5EED)
-    alphabet = sorted(grammar.terminals) or [0]
-    existing = set(grammar.nonterminals)
-    extra = []
-    i = 0
-    while len(extra) < config.n_unreachable:
-        name = f"U{i}"
-        if name not in existing:
-            extra.append(name)
-        i += 1
-
-    rows = []
-    for name in extra:
-        rows.extend(_gen_component(rng, [name], alphabet, config, False))
-    next_id = len(grammar.rules)
-    new_rules = list(grammar.rules)
-    for lhs, body in rows:
-        new_rules.append(Rule(next_id, lhs, tuple(body)))
-        next_id += 1
-    core = [nt for nt in grammar.nonterminals]
-    dead_hosts = tuple(
-        core[rng.randrange(len(core))] for _ in range(config.n_dead_branches)
-    )
-    out = Grammar(
-        nonterminals=grammar.nonterminals + tuple(extra),
-        terminals=grammar.terminals,
-        rules=tuple(new_rules),
-        start=grammar.start,
-        unreachable_marks=grammar.unreachable_marks + tuple(extra),
-        dead_marks=grammar.dead_marks + dead_hosts,
-    )
-    out.validate()
-    return out, label_for(out)
 
 
 def serialize_label(label: GroundTruthLabel) -> str:

@@ -90,11 +90,6 @@ def frequency_counts(matrix: IncidenceMatrix) -> FrequencyCounts:
     return counts_from_y(matrix.t, matrix.w.sum(axis=1))
 
 
-def saturation_indicator(counts: FrequencyCounts) -> bool:
-    """Stopping heuristic: doubleton count has reached the singleton count."""
-    return counts.fk(2) >= counts.fk(1)
-
-
 def rebin(matrix: IncidenceMatrix, m: int) -> IncidenceMatrix:
     """Merge every m consecutive units by logical OR.
 

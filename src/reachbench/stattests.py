@@ -194,12 +194,11 @@ def shapiro_wilk(sample):
     return w_stat, p
 
 
-def normality_check(sample):
-    """Shapiro-Wilk wrapper matching the evaluation pipeline's contract."""
-    return shapiro_wilk(sample)
-
-
 # -- Mann-Whitney U ----------------------------------------------------------
+
+#: Tie-free samples up to this size get the exact U distribution.
+MW_EXACT_MAX_N = 20
+
 
 def _exact_u_distribution(n1, n2):
     """P(U1 = u) for tie-free samples.
@@ -220,7 +219,7 @@ def _exact_u_distribution(n1, n2):
     return table[n1] / table[n1].sum()
 
 
-def mann_whitney_u(sample_a, sample_b, exact_threshold: int = 20):
+def mann_whitney_u(sample_a, sample_b):
     """Two-sided Mann-Whitney U test; returns (U, p_value).
 
     U is the statistic of sample_a.  Exact enumeration when both samples
@@ -247,7 +246,7 @@ def mann_whitney_u(sample_a, sample_b, exact_threshold: int = 20):
     u1 = r1 - n1 * (n1 + 1) / 2.0
 
     has_ties = len(np.unique(combined)) < len(combined)
-    if not has_ties and n1 <= exact_threshold and n2 <= exact_threshold:
+    if not has_ties and n1 <= MW_EXACT_MAX_N and n2 <= MW_EXACT_MAX_N:
         probs = _exact_u_distribution(n1, n2)
         k = int(round(u1))
         cdf = probs[: k + 1].sum()

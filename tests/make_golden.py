@@ -6,7 +6,7 @@ It writes two things, which ``tests/test_golden.py`` compares against:
 
 - ``smoke/``: the artifacts of the smoke run, ``run_experiment({})`` at
   master seed 1, without ``run_manifest.json`` (it holds timings) and the
-  ``.stage.digest`` markers (they hash the config, not results);
+  ``.stage.digest`` markers (resume bookkeeping, not results);
 - ``fixture_estimates.csv``: ``reachbench estimate --methods all --seed 5``
   on ``tests/data/fixture_incidence.txt``.
 

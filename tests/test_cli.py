@@ -298,6 +298,23 @@ class TestExitCodes:
         assert not out.exists()
         self.assert_one_line_error(caplog, message)
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--budget", "0", "--trials", "2"], "budget_n must be an integer >= 1, got 0"),
+        (["--trials", "0"], "trials_k must be an integer >= 1, got 0"),
+        (["--n-seeds", "0"], "n_seeds must be an integer >= 1, got 0"),
+        (["--max-depth", "-1"], "max_depth must be an integer >= 1, got -1"),
+        (["--unit-size", "0"], "unit_size_r must be an integer >= 1, got 0"),
+        (["--budget", "50"], "budget smaller than one sampling unit"),
+    ], ids=["budget-0", "trials-0", "n-seeds-0", "max-depth-negative", "unit-size-0",
+            "budget-below-unit"])
+    def test_bad_fuzz_settings_are_config_errors_before_any_work(self, tmp_path, caplog,
+                                                                 program_dir, flags, message):
+        out = tmp_path / "f"
+        rc = main(["fuzz", "--program", str(program_dir), *flags, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+        self.assert_one_line_error(caplog, message)
+
     @pytest.mark.parametrize("text", ["[]", "3", '"x"', "null"])
     def test_run_config_that_is_not_an_object_is_config_error(self, tmp_path, caplog, text):
         cfg = tmp_path / "cfg.json"
@@ -360,6 +377,31 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         manifest_after = json.loads((out / "run_manifest.json").read_text())
         assert manifest_before["artifacts"] == manifest_after["artifacts"]
+
+    def test_resume_redoes_a_stage_whose_files_are_damaged(self, tmp_path):
+        """A stage marker holds the hash of each trial file the stage wrote,
+        so a rerun redoes a stage whose file is missing or changed, and only
+        that stage; the run's artifacts come back as they were."""
+        out = self._run(tmp_path, "runE")
+        first = json.loads((out / "run_manifest.json").read_text())["artifacts"]
+        cfg = tmp_path / "cfg.json"
+        estimates = out / "estimates/prog000/trial001.csv"
+        kept = estimates.read_bytes()
+        estimates.unlink()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert estimates.read_bytes() == kept
+        assert {row["k"] for row in json.loads((out / "report.json").read_text())} == {2}
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["parser_runs"] == {}  # the campaigns were not run again
+
+        units = out / "incidence/prog000/trial000.units.txt"
+        kept = units.read_bytes()
+        units.write_bytes(kept[:len(kept) // 2])
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert units.read_bytes() == kept
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert set(manifest["parser_runs"]) == {"prog000"}
+        assert manifest["artifacts"] == first
 
     def test_report_command_prints_rows(self, tmp_path, capsys):
         out = self._run(tmp_path, "runD")

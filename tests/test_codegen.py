@@ -17,11 +17,10 @@ from reachbench.codegen import (
     element_manifest,
     execute_parser,
     export_c_source,
-    ground_truth_elements,
     interpret_parser,
 )
-from reachbench.grammar import EOI, compute_first_follow
-from reachbench.grammargen import GenConfig, GroundTruthLabel, generate_grammar, label_for
+from reachbench.grammar import EOI
+from reachbench.grammargen import GenConfig, GroundTruthLabel, generate_grammar
 from reachbench.fuzzer import MutationPolicy, generate_seed_corpus, mutate_input
 
 from conftest import cfg_cyclomatic, derive_strings, exhaustive_coverage
@@ -258,16 +257,6 @@ class TestGroundTruth:
             data = bytes(rng.randrange(256) for _ in range(rng.randrange(3)))
             res = execute_parser(prog, data)
             assert prog.error_element["S"] not in res.covered
-
-    def test_include_error_exits_flag(self, bsearch_grammar):
-        prog = compile_to_parser(bsearch_grammar)
-        table = compute_first_follow(bsearch_grammar)
-        label = label_for(bsearch_grammar)
-        no_errors = ground_truth_elements(prog, bsearch_grammar, table, label,
-                                          include_error_exits=False)
-        assert no_errors == {
-            el.id for el in prog.elements if el.kind == "rule-arm"
-        }
 
 
 class TestCyclomatic:

@@ -328,7 +328,7 @@ class TestSquaremEM:
                 prev = obj[0]
             else:
                 pytest.fail(f"plain EM did not reach tol {tol} in {max_iter} steps")
-        point, status, _ = estimators._npmle_finish(c.t, c.s_obs, penalized, cfg, w[0], pis[0],
+        point, status, _ = estimators._npmle_finish(c.t, c.s_obs, penalized, w[0], pis[0],
                                                     ll[0], it, 0.0, True)
         assert status == "ok"
         return point

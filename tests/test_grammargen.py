@@ -15,7 +15,6 @@ from reachbench.grammargen import (
     GroundTruthLabel,
     InfeasibleConfigError,
     generate_grammar,
-    inject_unreachable,
     label_for,
     parse_label,
     serialize_label,
@@ -77,6 +76,7 @@ class TestGeneration:
         g.validate()
         assert check_ll1(g, compute_first_follow(g)) == []
         assert check_productivity(g) == set(g.nonterminals)
+        assert len(g.dead_marks) == cfg.n_dead_branches
 
     @pytest.mark.parametrize("n_unreachable", [0, 1, 3])
     def test_exactly_n_unreachable_nonterminals(self, n_unreachable):
@@ -109,27 +109,6 @@ class TestGeneration:
             if any(not r.rhs for r in g.rules):
                 return
         pytest.fail("no epsilon rule generated across 30 seeds")
-
-
-class TestInjection:
-    def test_inject_adds_marks_and_preserves_ll1(self):
-        base_cfg = GenConfig(seed=4, n_nonterminals=5, alphabet_size=8)
-        g, label = generate_grammar(base_cfg)
-        inj_cfg = GenConfig(seed=4, n_nonterminals=5, alphabet_size=8,
-                            n_unreachable=2, n_dead_branches=3)
-        g2, label2 = inject_unreachable(g, label, inj_cfg)
-        assert len(g2.nonterminals) == len(g.nonterminals) + 2
-        assert len(g2.dead_marks) == 3
-        assert check_ll1(g2, compute_first_follow(g2)) == []
-        reach = reachable_nonterminals(g2)
-        assert set(g2.unreachable_marks).isdisjoint(reach)
-        label2.validate_against(g2)
-
-    def test_inject_noop_without_additions(self):
-        g, label = generate_grammar(GenConfig(seed=4, n_nonterminals=5, alphabet_size=8))
-        g2, label2 = inject_unreachable(g, label, GenConfig(seed=4, n_nonterminals=5,
-                                                           alphabet_size=8))
-        assert g2 is g and label2 is label
 
 
 class TestLabels:

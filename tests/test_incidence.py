@@ -15,7 +15,6 @@ from reachbench.incidence import (
     from_dense_csv,
     head,
     rebin,
-    saturation_indicator,
     to_dense_csv,
 )
 
@@ -61,17 +60,6 @@ class TestFrequencyCounts:
         for k in set(y):
             assert counts.fk(k) == y.count(k)
         assert counts.s_obs == len(y)
-
-    def test_saturation_indicator(self):
-        sat = frequency_counts(build_incidence_matrix(UNITS))
-        assert saturation_indicator(sat)  # f1 = 0 <= f2
-        unsat = frequency_counts(
-            build_incidence_matrix([frozenset({0, 1}), frozenset({0})])
-        )
-        assert unsat.f == {1: 1, 2: 1}
-        assert saturation_indicator(unsat)
-        lone = frequency_counts(build_incidence_matrix([frozenset({0})]))
-        assert not saturation_indicator(lone)
 
 
 class TestRebin:

@@ -12,7 +12,6 @@ from reachbench.stattests import (
     mann_whitney_u,
     ndtr,
     ndtri,
-    normality_check,
     shapiro_wilk,
     stdtr,
     welch_t_test,
@@ -92,10 +91,6 @@ class TestShapiroWilk:
     def test_size_limits(self, n):
         with pytest.raises(StatTestError):
             shapiro_wilk(np.arange(n, dtype=float))
-
-    def test_normality_check_alias(self):
-        sample = np.random.default_rng(1).normal(0, 1, 20)
-        assert normality_check(sample) == shapiro_wilk(sample)
 
 
 class TestMannWhitney:
