@@ -50,8 +50,9 @@ from .codegen import (
     element_manifest,
     export_c_source,
 )
-from .estimators import ALL_METHODS, check_level, check_methods, estimate_many
-from .evaluation import check_alpha, check_unit_sizes, rq1_report, sensitivity_analysis
+from .estimators import ALL_METHODS, EstimateWithCI, check_level, check_methods, estimate_many
+from .evaluation import (SensitivityVerdict, check_alpha, check_unit_sizes, rq1_report,
+                         sensitivity_analysis)
 from .fuzzer import (
     CampaignConfig,
     check_count,
@@ -71,15 +72,10 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_PARTIAL = 3
 
-ESTIMATE_FIELDS = ["method", "t", "point", "ci_low", "ci_high", "status", "diagnostics"]
+ESTIMATE_FIELDS = [f.name for f in fields(EstimateWithCI)]
 REPORT_FIELDS = ["estimator", "t", "mean_bias", "imprecision", "ci_coverage", "n_failed", "k"]
 RUN_REPORT_FIELDS = ["program", "estimator", "t", "true_s"] + REPORT_FIELDS[2:]
-VERDICT_FIELDS = [
-    "method", "r_a", "r_b", "mean_a", "mean_b",
-    "ci_a_low", "ci_a_high", "ci_b_low", "ci_b_high",
-    "test_used", "p_value", "ci_overlap", "interval_intersect",
-    "reliable", "inconclusive", "n_failed_a", "n_failed_b",
-]
+VERDICT_FIELDS = [f.name for f in fields(SensitivityVerdict)]
 
 
 def derive_seed(master: int, label: str, index: int = 0) -> int:
@@ -345,23 +341,15 @@ def _estimates(jobs, level: float = 0.90, **kw) -> list:
     return ests
 
 
-def _estimate_rows(jobs, level, boot_b=500):
-    """One estimate-CSV row per (matrix, method, seed) job, in job order."""
-    return [
-        {
-            "method": est.method,
-            "t": matrix.t,
-            "point": est.point,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "status": est.status,
-            "diagnostics": json.dumps(
-                {k: v for k, v in est.diagnostics.items() if k != "support"},
-                sort_keys=True, default=str,
-            ),
-        }
-        for (matrix, _, _), est in zip(jobs, _estimates(jobs, level, boot_b=boot_b))
-    ]
+# ``vars``, not ``asdict``: a record's fields are its row, and ``asdict`` deep-copies them.
+def _write_estimates(path, ests):
+    _write_csv(path, ESTIMATE_FIELDS, (
+        dict(vars(e), diagnostics=json.dumps(e.diagnostics, sort_keys=True, default=str))
+        for e in ests))
+
+
+def _write_verdicts(path, verdicts):
+    _write_csv(path, VERDICT_FIELDS, map(vars, verdicts))
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +374,14 @@ def _generate(gen: GenConfig, out: Path):
     }
     _write(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return grammar, program
+
+
+def _drop_stale_trials(out: Path, trials_k: int):
+    """Remove the ``trial*`` files of trials ``trials_k`` and up from ``out``."""
+    written = {f"trial{k:03d}" for k in range(trials_k)}
+    for path in out.iterdir() if out.is_dir() else ():
+        if path.name.startswith("trial") and path.name.split(".")[0] not in written:
+            path.unlink()
 
 
 def _fuzz(cfg: ExperimentConfig, programs):
@@ -510,11 +506,9 @@ def cmd_rebin(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    units = parse_units(_read(args.incidence))
-    matrix = build_incidence_matrix(units)
+    matrix = build_incidence_matrix(parse_units(_read(args.incidence)))
     methods = ALL_METHODS if args.methods == "all" else tuple(args.methods.split(","))
-    rows = _estimate_rows([(matrix, m, args.seed) for m in methods], args.level)
-    _write_csv(args.out, ESTIMATE_FIELDS, rows)
+    _write_estimates(args.out, _estimates([(matrix, m, args.seed) for m in methods], args.level))
     return EXIT_OK
 
 
@@ -526,7 +520,8 @@ def _true_richness_from_manifest(path) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    report = rq1_report(args.estimates, _true_richness_from_manifest(args.truth))
+    report = rq1_report(sorted(Path(args.estimates).glob("*.csv")),
+                        _true_richness_from_manifest(args.truth))
     if Path(args.out).suffix == ".json":
         _write(args.out, json.dumps(report, indent=2) + "\n")
     else:
@@ -542,29 +537,10 @@ def cmd_sensitivity(args) -> int:
         return EXIT_CONFIG
     unit_sizes = [int(s) for s in args.unit_sizes.split(",")]
     methods = ALL_METHODS if args.methods == "all" else tuple(args.methods.split(","))
-    verdicts = sensitivity_analysis(
+    _write_verdicts(args.out, sensitivity_analysis(
         trials, unit_sizes, methods, alpha=args.alpha, level=args.level,
-        base_r=unit_sizes[0], seed=args.seed, batch=_estimates,
-    )
-    _write_verdicts(args.out, verdicts)
+        base_r=unit_sizes[0], seed=args.seed, batch=_estimates))
     return EXIT_OK
-
-
-def _write_verdicts(out, verdicts):
-    _write_csv(out, VERDICT_FIELDS, (
-        {
-            "method": v.method, "r_a": v.r_a, "r_b": v.r_b,
-            "mean_a": v.mean_a, "mean_b": v.mean_b,
-            "ci_a_low": v.mean_ci_a[0], "ci_a_high": v.mean_ci_a[1],
-            "ci_b_low": v.mean_ci_b[0], "ci_b_high": v.mean_ci_b[1],
-            "test_used": v.test_used, "p_value": v.p_value,
-            "ci_overlap": v.ci_overlap,
-            "interval_intersect": v.interval_intersect,
-            "reliable": v.reliable, "inconclusive": v.inconclusive,
-            "n_failed_a": v.n_failed_a, "n_failed_b": v.n_failed_b,
-        }
-        for v in verdicts
-    ))
 
 
 def cmd_import_incidence(args) -> int:
@@ -630,6 +606,7 @@ def run_experiment(config: dict, out_dir) -> int:
             logs[b] = [build_incidence_matrix(parse_units(_read(psub / name)))
                        for name in units_files]
         else:
+            _drop_stale_trials(psub, cfg.trials_k)
             todo.append((b, grammar, program, psub))
     manifest["fuzz_workers"] = _pool_workers(len(todo) * cfg.trials_k)
     manifest["parser_runs"] = {}  # per program fuzzed in this run
@@ -663,10 +640,11 @@ def run_experiment(config: dict, out_dir) -> int:
             for t_cp in checkpoints:
                 matrix, seed = head(trial, t_cp), derive_seed(master, f"ci:{b}:{t_cp}", k)
                 jobs += [(matrix, m, seed) for m in methods]
-        rows = _estimate_rows(jobs, cfg.ci_level, boot_b=cfg.bootstrap_b)
+        ests = _estimates(jobs, cfg.ci_level, boot_b=cfg.bootstrap_b)
         manifest["estimate_workers"] = shard_workers
+        _drop_stale_trials(esub, cfg.trials_k)
         for k, name in enumerate(estimate_files):
-            _write_csv(esub / name, ESTIMATE_FIELDS, rows[k * n_rows:(k + 1) * n_rows])
+            _write_estimates(esub / name, ests[k * n_rows:(k + 1) * n_rows])
         _stage_mark(esub, digest, estimate_files)
     timings["estimate"] = time.perf_counter() - t0
 
@@ -674,7 +652,8 @@ def run_experiment(config: dict, out_dir) -> int:
     t0 = time.perf_counter()
     report = []
     for b, (_, program) in enumerate(programs):
-        report += rq1_report(edir / f"prog{b:03d}", len(program.ground_truth), program=b)
+        report += rq1_report([edir / f"prog{b:03d}" / name for name in estimate_files],
+                             len(program.ground_truth), program=b)
     _write(out / "report.json", json.dumps(report, indent=2) + "\n")
     _write_csv(out / "report.csv", RUN_REPORT_FIELDS, report)
     timings["evaluate"] = time.perf_counter() - t0
@@ -683,13 +662,11 @@ def run_experiment(config: dict, out_dir) -> int:
     t0 = time.perf_counter()
     manifest["sensitivity_workers"] = shard_workers
     for b, trials in enumerate(logs):
-        verdicts = sensitivity_analysis(
+        _write_verdicts(out / f"verdicts_prog{b:03d}.csv", sensitivity_analysis(
             trials, cfg.unit_sizes, methods,
             alpha=cfg.alpha, level=cfg.ci_level, base_r=cfg.campaign.unit_size_r,
             seed=derive_seed(master, f"sensitivity:{b}"),
-            batch=_estimates, boot_b=cfg.bootstrap_b,
-        )
-        _write_verdicts(out / f"verdicts_prog{b:03d}.csv", verdicts)
+            batch=_estimates, boot_b=cfg.bootstrap_b))
     timings["sensitivity"] = time.perf_counter() - t0
 
     for path in sorted(out.rglob("*")):

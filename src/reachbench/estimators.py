@@ -79,11 +79,12 @@ ANALYTIC_CI_METHODS = ("chao2", "chao2_bc")
 
 @dataclass(frozen=True)
 class EstimateWithCI:
+    """One method's estimate on a log of t units: one estimate-CSV row."""
     method: str
+    t: int
     point: float
     ci_low: float
     ci_high: float
-    level: float
     status: str  # 'ok' | 'degenerate-fallback' | 'failed'
     diagnostics: dict = field(default_factory=dict)
 
@@ -104,8 +105,8 @@ NPMLE_MERGE_TOL = 1e-3
 NPMLE_MAX_SUPPORT = 20
 
 
-def _failed(method, level, reason):
-    return EstimateWithCI(method, float("nan"), float("nan"), float("nan"), level, "failed", {"reason": reason})
+def _failed(method, t, reason):
+    return EstimateWithCI(method, t, float("nan"), float("nan"), float("nan"), "failed", {"reason": reason})
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +631,6 @@ def _npmle_finish(t, n, penalized, w, pis, ll, iters, ll_delta, converged):
         "iterations": int(iters),
         "log_likelihood": float(ll),
         "support_points": len(w),
-        "support": [(float(p), float(wi)) for p, wi in zip(pis, w)],
         "p0": p0,
         "penalized": penalized,
     }
@@ -865,9 +865,9 @@ def estimate_many(jobs, level: float = 0.90, *, boot_b: int = 500) -> list:
 
     # Each job's interval (lo, hi) and the diagnostics that describe it.
     results, intervals, boot = [None] * len(jobs), {}, []
-    for i, ((_, method, _), (point, status, diagnostics)) in enumerate(zip(jobs, points)):
+    for i, ((matrix, method, _), (point, status, diagnostics)) in enumerate(zip(jobs, points)):
         if status == "failed":
-            results[i] = _failed(method, level, diagnostics.get("reason", "failed"))
+            results[i] = _failed(method, matrix.t, diagnostics.get("reason", "failed"))
             continue
         var = (_chao_type_variance(counts[i], method, point)
                if method in ANALYTIC_CI_METHODS and level != 0.0 else None)
@@ -883,8 +883,8 @@ def estimate_many(jobs, level: float = 0.90, *, boot_b: int = 500) -> list:
         intervals[i] = lo, hi, {"ci": "unit-bootstrap-percentile", "bootstrap_resamples": n_ok,
                                 "bootstrap_failed": n_failed}
     for i, (lo, hi, described) in intervals.items():
-        point, status, diagnostics = points[i]
-        results[i] = EstimateWithCI(jobs[i][1], point, min(lo, point), max(hi, point), level,
+        (matrix, method, _), (point, status, diagnostics) = jobs[i], points[i]
+        results[i] = EstimateWithCI(method, matrix.t, point, min(lo, point), max(hi, point),
                                     status, {**diagnostics, **described})
     return results
 

@@ -12,9 +12,12 @@ CI cross-containment check.
 from __future__ import annotations
 
 import csv
+import json
+import math
 import numbers
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,15 +28,6 @@ from .stattests import StatTestError, mann_whitney_u, shapiro_wilk, welch_t_test
 
 class EvaluationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    trial: int
-    method: str
-    t: int
-    estimate: EstimateWithCI
-    true_s: float = None
 
 
 @dataclass(frozen=True)
@@ -68,91 +62,89 @@ def simulate_incidence(model: BernoulliProductModel, rng_seed: int) -> Incidence
                            w=w[seen].view(np.uint8))
 
 
-def mean_bias(results, true_s: float) -> float:
+def mean_bias(estimates, true_s: float) -> float:
     """Average relative bias (sum of (estimate - S) / (K * S)) over trials."""
-    if not results:
-        raise EvaluationError("mean_bias of an empty result list")
+    if not estimates:
+        raise EvaluationError("mean_bias of an empty estimate list")
     if true_s <= 0:
         raise EvaluationError("true richness must be positive")
-    k = len(results)
-    return sum((r.estimate.point - true_s) / (k * true_s) for r in results)
+    k = len(estimates)
+    return sum((e.point - true_s) / (k * true_s) for e in estimates)
 
 
-def imprecision(results, true_s: float) -> float:
+def imprecision(estimates, true_s: float) -> float:
     """Sample variance (n-1 denominator) of the per-trial relative biases."""
-    if len(results) < 2:
+    if len(estimates) < 2:
         raise EvaluationError("imprecision needs at least 2 trials")
-    biases = [(r.estimate.point - true_s) / true_s for r in results]
+    biases = [(e.point - true_s) / true_s for e in estimates]
     return float(np.var(biases, ddof=1))
 
 
-def ci_coverage(results, true_s: float):
+def ci_coverage(estimates, true_s: float):
     """Fraction of non-failed trials whose CI contains S, plus the failed count."""
-    ok = [r for r in results if r.estimate.status != "failed"]
-    n_failed = len(results) - len(ok)
+    ok = [e for e in estimates if e.status != "failed"]
+    n_failed = len(estimates) - len(ok)
     if not ok:
         return float("nan"), n_failed
-    hits = sum(1 for r in ok if r.estimate.ci_low <= true_s <= r.estimate.ci_high)
+    hits = sum(1 for e in ok if e.ci_low <= true_s <= e.ci_high)
     return hits / len(ok), n_failed
 
 
 def _row_to_estimate(row) -> EstimateWithCI:
-    return EstimateWithCI(
-        method=row["method"],
-        point=float(row["point"]),
-        ci_low=float(row["ci_low"]),
-        ci_high=float(row["ci_high"]),
-        level=0.0,
-        status=row["status"],
-    )
+    """The estimate that an estimate-CSV row was written from."""
+    return EstimateWithCI(row["method"], int(row["t"]), float(row["point"]),
+                          float(row["ci_low"]), float(row["ci_high"]), row["status"],
+                          json.loads(row["diagnostics"]))
 
 
-def rq1_report(estimates_dir, true_s: int, program: int = None) -> list:
-    """RQ1 metrics of the estimate CSVs in ``estimates_dir``, one per trial.
+def rq1_report(paths, true_s: int, program: int = None) -> list:
+    """RQ1 metrics of the estimate CSVs at ``paths``, one per trial.
 
     Rows are grouped by (estimator, t), and each group gives one entry, in
     (estimator, t) order.  With ``program`` set, an entry also names the
-    program and the true richness.
+    program and the true richness.  A CSV whose header is not the fields of
+    ``EstimateWithCI`` is an error.
     """
+    header = [f.name for f in fields(EstimateWithCI)]
     grouped = {}
-    for path in sorted(Path(estimates_dir).glob("*.csv")):
-        with path.open() as fh:
-            for row in csv.DictReader(fh):
-                grouped.setdefault((row["method"], int(row["t"])), []).append(row)
+    for path in paths:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != header:
+                raise EvaluationError(f"{path} is not an estimate CSV: its header is "
+                                      f"{reader.fieldnames}, not {header}")
+            for est in map(_row_to_estimate, reader):
+                grouped.setdefault((est.method, est.t), []).append(est)
     report = []
-    for (method, t), rows in sorted(grouped.items()):
-        results = [TrialResult(i, method, t, _row_to_estimate(row), true_s)
-                   for i, row in enumerate(rows)]
-        ok = [r for r in results if r.estimate.status != "failed"]
-        cov, n_failed = ci_coverage(results, true_s)
+    for (method, t), ests in sorted(grouped.items()):
+        ok = [e for e in ests if e.status != "failed"]
+        cov, n_failed = ci_coverage(ests, true_s)
         entry = {"estimator": method, "t": t}
         if program is not None:
             entry = {"program": program, **entry, "true_s": true_s}
-        report.append(dict(
-            entry,
-            mean_bias=mean_bias(ok, true_s) if ok else float("nan"),
-            imprecision=imprecision(ok, true_s) if len(ok) >= 2 else float("nan"),
-            ci_coverage=cov,
-            n_failed=n_failed,
-            k=len(results),
-        ))
+        report.append(dict(entry, mean_bias=mean_bias(ok, true_s) if ok else math.nan,
+                           imprecision=imprecision(ok, true_s) if len(ok) >= 2 else math.nan,
+                           ci_coverage=cov, n_failed=n_failed, k=len(ests)))
     return report
 
 
 @dataclass(frozen=True)
 class SensitivityVerdict:
+    """One method's RQ2 verdict between unit sizes r_a and r_b: one verdict-CSV row."""
     method: str
     r_a: int
     r_b: int
-    mean_a: float
-    mean_b: float
-    mean_ci_a: tuple
-    mean_ci_b: tuple
-    test_used: str  # 'welch' | 'mann-whitney'
-    p_value: float
-    ci_overlap: bool
-    interval_intersect: bool
-    reliable: bool
+    mean_a: float = math.nan
+    mean_b: float = math.nan
+    ci_a_low: float = math.nan  # the mean CI bounds at r_a
+    ci_a_high: float = math.nan
+    ci_b_low: float = math.nan
+    ci_b_high: float = math.nan
+    test_used: str = "none"  # 'welch' | 'mann-whitney' | 'none'
+    p_value: float = math.nan
+    ci_overlap: bool = False
+    interval_intersect: bool = False
+    reliable: bool = False
     inconclusive: bool = False
     n_failed_a: int = 0
     n_failed_b: int = 0
@@ -188,6 +180,46 @@ def _is_normal(sample, alpha):
     return p >= alpha
 
 
+class _Sample(NamedTuple):  # what the verdicts use of one (unit size, method)'s estimates
+    n_failed: int
+    points: list = None  # the non-failed points; None when too few to compare
+    mean: float = math.nan
+    ci_low: float = math.nan  # the mean CI bounds
+    ci_high: float = math.nan
+    normal: bool = False
+
+
+def _sample(ests, alpha) -> _Sample:
+    """The ``_Sample`` of one (unit size, method)'s estimates: too few points
+    to compare when more than half failed or fewer than 2 did not."""
+    ok = [e for e in ests if e.status != "failed"]
+    n_failed = len(ests) - len(ok)
+    if n_failed > len(ests) / 2 or len(ok) < 2:
+        return _Sample(n_failed)
+    points = [e.point for e in ok]
+    return _Sample(n_failed, points, float(np.mean(points)),
+                   float(np.mean([e.ci_low for e in ok])),
+                   float(np.mean([e.ci_high for e in ok])), _is_normal(points, alpha))
+
+
+def _verdict(method, r_a, r_b, a: _Sample, b: _Sample, alpha) -> SensitivityVerdict:
+    """Welch's t-test where both samples look normal, else Mann-Whitney, and
+    the cross-containment of each mean in the other's mean CI."""
+    if a.points is None or b.points is None:
+        return SensitivityVerdict(method, r_a, r_b, inconclusive=True,
+                                  n_failed_a=a.n_failed, n_failed_b=b.n_failed)
+    if a.normal and b.normal:
+        test_used, p = "welch", welch_t_test(a.points, b.points)[2]
+    else:
+        test_used, p = "mann-whitney", mann_whitney_u(a.points, b.points)[1]
+    cross = b.ci_low <= a.mean <= b.ci_high and a.ci_low <= b.mean <= a.ci_high
+    return SensitivityVerdict(
+        method, r_a, r_b, a.mean, b.mean, a.ci_low, a.ci_high, b.ci_low, b.ci_high,
+        test_used, float(p), cross,
+        interval_intersect=max(a.ci_low, b.ci_low) <= min(a.ci_high, b.ci_high),
+        reliable=(p >= alpha) and cross, n_failed_a=a.n_failed, n_failed_b=b.n_failed)
+
+
 def sensitivity_analysis(
     trials,
     unit_sizes,
@@ -217,56 +249,7 @@ def sensitivity_analysis(
         jobs += [(mat, method, seed + i) for method in methods for i, mat in enumerate(binned)]
     # One estimate batch for every (size, method, trial), in that order.
     ests = iter(batch(jobs, level, **est_kw))
-    per_size = {r: {method: [next(ests) for _ in trials] for method in methods}
-                for r in unit_sizes}
-
-    verdicts = []
-    for method in methods:
-        for ia in range(len(unit_sizes)):
-            for ib in range(ia + 1, len(unit_sizes)):
-                ra, rb = unit_sizes[ia], unit_sizes[ib]
-                ests_a = per_size[ra][method]
-                ests_b = per_size[rb][method]
-                ok_a = [e for e in ests_a if e.status != "failed"]
-                ok_b = [e for e in ests_b if e.status != "failed"]
-                nf_a = len(ests_a) - len(ok_a)
-                nf_b = len(ests_b) - len(ok_b)
-                if nf_a > len(ests_a) / 2 or nf_b > len(ests_b) / 2 or len(ok_a) < 2 or len(ok_b) < 2:
-                    verdicts.append(
-                        SensitivityVerdict(
-                            method, ra, rb, float("nan"), float("nan"),
-                            (float("nan"),) * 2, (float("nan"),) * 2,
-                            "none", float("nan"), False, False, False,
-                            inconclusive=True, n_failed_a=nf_a, n_failed_b=nf_b,
-                        )
-                    )
-                    continue
-                sample_a = [e.point for e in ok_a]
-                sample_b = [e.point for e in ok_b]
-                mean_a = float(np.mean(sample_a))
-                mean_b = float(np.mean(sample_b))
-                ci_a = (
-                    float(np.mean([e.ci_low for e in ok_a])),
-                    float(np.mean([e.ci_high for e in ok_a])),
-                )
-                ci_b = (
-                    float(np.mean([e.ci_low for e in ok_b])),
-                    float(np.mean([e.ci_high for e in ok_b])),
-                )
-                if _is_normal(sample_a, alpha) and _is_normal(sample_b, alpha):
-                    _, _, p = welch_t_test(sample_a, sample_b)
-                    test_used = "welch"
-                else:
-                    _, p = mann_whitney_u(sample_a, sample_b)
-                    test_used = "mann-whitney"
-                cross = ci_b[0] <= mean_a <= ci_b[1] and ci_a[0] <= mean_b <= ci_a[1]
-                intersect = max(ci_a[0], ci_b[0]) <= min(ci_a[1], ci_b[1])
-                verdicts.append(
-                    SensitivityVerdict(
-                        method, ra, rb, mean_a, mean_b, ci_a, ci_b,
-                        test_used, float(p), cross, intersect,
-                        reliable=(p >= alpha) and cross,
-                        n_failed_a=nf_a, n_failed_b=nf_b,
-                    )
-                )
-    return verdicts
+    samples = {(r, method): _sample([next(ests) for _ in trials], alpha)
+               for r in unit_sizes for method in methods}
+    return [_verdict(method, ra, rb, samples[ra, method], samples[rb, method], alpha)
+            for method in methods for ra, rb in combinations(unit_sizes, 2)]

@@ -32,7 +32,6 @@ from reachbench.codegen import (
 from reachbench.estimators import ALL_METHODS, EstimateWithCI, estimate, point_estimate
 from reachbench.evaluation import (
     BernoulliProductModel,
-    TrialResult,
     imprecision,
     mean_bias,
     sensitivity_analysis,
@@ -251,11 +250,7 @@ def test_criterion_06_simulation_oracle_ci_coverage():
 
 def test_criterion_07_bias_and_imprecision_identities():
     def trials(points):
-        return [
-            TrialResult(i, "chao2", 10,
-                        EstimateWithCI("chao2", p, p, p, 0.9, "ok"))
-            for i, p in enumerate(points)
-        ]
+        return [EstimateWithCI("chao2", 10, p, p, p, "ok") for p in points]
 
     # Symmetric estimates around S: bias cancels to exactly zero.
     assert mean_bias(trials([90.0, 110.0]), 100.0) == 0.0

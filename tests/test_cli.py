@@ -10,11 +10,13 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import reachbench.cli as cli
+import reachbench.evaluation as evaluation
 from reachbench.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -222,6 +224,23 @@ class TestExitCodes:
         assert [r.getMessage() for r in errors] == [message]
         assert errors[0].exc_info is None  # no traceback
 
+    def test_evaluate_rejects_a_csv_that_is_not_an_estimate_csv(self, tmp_path, caplog):
+        """README's ``evaluate`` run twice with its report among the estimates:
+        the second run reads the first one's report as an estimate CSV."""
+        truth, edir = tmp_path / "elements.txt", tmp_path / "work"
+        truth.write_text("elements v1\n0 rule grammar reachable\n")
+        assert main(["estimate", "--incidence", str(FIXTURE_LOG), "--methods", "chao2",
+                     "--out", str(edir / "trial000.csv")]) == EXIT_OK
+        argv = ["evaluate", "--truth", str(truth), "--estimates", str(edir), "--out"]
+        assert main(argv + [str(edir / "report.csv")]) == EXIT_OK
+        out = tmp_path / "again.csv"
+        caplog.clear()
+        assert main(argv + [str(out)]) == EXIT_CONFIG and not out.exists()
+        header = ["method", "t", "point", "ci_low", "ci_high", "status", "diagnostics"]
+        self.assert_one_line_error(
+            caplog, f"{edir / 'report.csv'} is not an estimate CSV: its header is "
+            f"{cli.REPORT_FIELDS}, not {header}")
+
     @pytest.mark.parametrize("level", ["1.0", "-0.2", "1.5", "nan"])
     def test_ci_level_outside_unit_interval_is_config_error(self, tmp_path, caplog, level):
         out = tmp_path / "o.csv"
@@ -402,6 +421,16 @@ class TestRun:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert set(manifest["parser_runs"]) == {"prog000"}
         assert manifest["artifacts"] == first
+
+    def test_rerun_with_fewer_trials_drops_the_later_trials(self, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "runF"
+        for trials_k in (3, 2):
+            cfg.write_text(json.dumps(dict(TINY_RUN, trials_k=trials_k)))
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert {row["k"] for row in json.loads((out / "report.json").read_text())} == {2}
+        assert not list(out.rglob("trial002*"))
+        artifacts = json.loads((out / "run_manifest.json").read_text())["artifacts"]
+        assert not [rel for rel in artifacts if "trial002" in rel]
 
     def test_report_command_prints_rows(self, tmp_path, capsys):
         out = self._run(tmp_path, "runD")
@@ -654,8 +683,11 @@ class TestMethodShards:
         rows = list(csv.DictReader(io.StringIO(outputs[0][0].decode())))
         expected = estimate_all(build_incidence_matrix(parse_units(FIXTURE_LOG.read_text())),
                                 seed=5)
-        assert ([(r["method"], float(r["point"]), float(r["ci_low"]), float(r["ci_high"]))
-                 for r in rows] == [(e.method, e.point, e.ci_low, e.ci_high) for e in expected])
+        # A row reads back as the record it was written from.  Its diagnostics
+        # went through JSON, which need not give back equal values (a NaN, or
+        # a value written with ``default=str``).
+        assert ([replace(evaluation._row_to_estimate(r), diagnostics=None) for r in rows]
+                == [replace(e, diagnostics=None) for e in expected])
         rows = list(csv.DictReader(io.StringIO(outputs[0][1].decode())))
         assert [r["method"] for r in rows] == ["jk1"] * 3 + ["chao2"] * 3 + ["ice"] * 3
 

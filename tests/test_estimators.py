@@ -128,7 +128,6 @@ class TestFixtureRegression:
         assert status == "ok"
         assert point == pytest.approx(expected, rel=1e-4)
         assert diagnostics["support_points"] == 3
-        assert sum(w for _, w in diagnostics["support"]) == pytest.approx(1.0)
 
 
 class TestBatchedEM:
@@ -751,11 +750,11 @@ def oracle_estimate(matrix, method, level, seed, b):
     counts = frequency_counts(matrix)
     point, status, diagnostics = point_estimate(counts, method)
     if status == "failed":
-        return estimators._failed(method, level, diagnostics.get("reason", "failed"))
+        return estimators._failed(method, matrix.t, diagnostics.get("reason", "failed"))
     diagnostics = dict(diagnostics)
     if level == 0.0:
         diagnostics["ci"] = "point"
-        return EstimateWithCI(method, point, point, point, level, status, diagnostics)
+        return EstimateWithCI(method, matrix.t, point, point, point, status, diagnostics)
     var = (estimators._chao_type_variance(counts, method, point)
            if method in estimators.ANALYTIC_CI_METHODS else None)
     if var is not None:
@@ -767,7 +766,7 @@ def oracle_estimate(matrix, method, level, seed, b):
         diagnostics["ci"] = "unit-bootstrap-percentile"
         diagnostics["bootstrap_resamples"] = kept
         diagnostics["bootstrap_failed"] = failed
-    return EstimateWithCI(method, point, min(lo, point), max(hi, point), level, status,
+    return EstimateWithCI(method, matrix.t, point, min(lo, point), max(hi, point), status,
                           diagnostics)
 
 

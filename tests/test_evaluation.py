@@ -10,7 +10,6 @@ from reachbench.estimators import EstimateWithCI
 from reachbench.evaluation import (
     BernoulliProductModel,
     EvaluationError,
-    TrialResult,
     ci_coverage,
     imprecision,
     mean_bias,
@@ -23,8 +22,7 @@ from reachbench.incidence import build_incidence_matrix, frequency_counts, rebin
 def mktrial(i, point, lo=None, hi=None, status="ok"):
     lo = point if lo is None else lo
     hi = point if hi is None else hi
-    est = EstimateWithCI("chao2", point, lo, hi, 0.90, status)
-    return TrialResult(trial=i, method="chao2", t=10, estimate=est)
+    return EstimateWithCI("chao2", 10, point, lo, hi, status)
 
 
 class TestMetrics:
