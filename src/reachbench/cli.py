@@ -2,15 +2,19 @@
 
 Subcommands cover each pipeline stage (gen-grammar, gen-parser, fuzz,
 rebin, estimate, evaluate, sensitivity, import-incidence) plus ``run``,
-which executes the whole RQ1+RQ2 pipeline from a single JSON config, read
-into ``ExperimentConfig``.  ``run`` shares its generate stage with
-``gen-grammar`` and its fuzz stage with ``fuzz``, in which ``fuzz`` is
-program 0: ``fuzz --seed M`` on a run's ``grammars/prog000``, given the
-run's campaign settings, reproduces its campaigns.  Every stage is
-deterministic: sub-seeds are derived as sha256(master, purpose-label,
-index).  A rerun into the same directory skips a program's campaigns and
-estimates when their stage marker holds the digest of the same config and
-the sha256 that each trial file the stage wrote still has.
+which composes five timed stages (generate, fuzz, estimate, evaluate,
+sensitivity) from one JSON config, read into ``ExperimentConfig``.  ``run``
+shares its generate stage with ``gen-grammar`` and its fuzz stage with
+``fuzz``, in which ``fuzz`` is program 0: ``fuzz --seed M`` on a run's
+``grammars/prog000``, given the run's campaign settings, reproduces its
+campaigns.  Every stage is deterministic: sub-seeds are derived as
+sha256(master, purpose-label, index).  A rerun into the same directory
+skips a program's campaigns and estimates when their stage marker holds
+the digest of the same config and the sha256 that each trial file the
+stage wrote still has.  A stage that runs first removes the ``trial*``
+files in its directory; ``run`` also removes programs ``n_programs`` and up.
+A failed campaign is logged and the others go on; in ``run`` its program
+stops after the fuzz stage and is listed in the manifest's ``failed_trials``.
 
 The campaigns (one job per program and trial) and the estimate batches
 (one job per estimator method) run on a ``fork`` pool of ``min(usable
@@ -19,7 +23,8 @@ order, so the artifacts are byte-identical whatever the worker count.
 Stage 1 (generate, compile, export) stays serial, and ``run`` writes each
 program's files before it starts the next.
 
-Exit codes: 0 success, 1 config error, 2 runtime failure, 3 partial.
+Exit codes: 0 success, 1 config error, 2 runtime failure, 3 partial: some
+of the units (trials of ``fuzz``, programs of ``run``) are done.
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
 import multiprocessing
 import numbers
 import os
+import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -87,36 +94,37 @@ def _read(path) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-@contextmanager
-def _replacing(path, newline=None):
-    """A text file that replaces ``path`` only once it is completely written.
-
-    It is written under a temporary name in the same directory and moved
-    over ``path`` with ``os.replace``, so a reader or a resumed run sees the
-    old file or the new one, never a torn write.  On an error the temporary
-    file is removed and ``path`` is left as it was.
-    """
+def _write(path, text: str):
+    """Replace ``path`` with ``text`` through a temporary file in the same
+    directory and ``os.replace``, so a reader or a resumed run sees the old
+    file or the new one, never a torn write; on an error, the old one."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
-            yield fh
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, p)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _write(path, text: str):
-    with _replacing(path) as fh:
-        fh.write(text)
-
-
 def _write_csv(path, fields, rows):
-    with _replacing(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    """Render ``rows`` in memory, then ``_write`` them: an error from the rows
+    leaves ``path`` as it was."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(path, text.getvalue())
+
+
+def _drop(directory: Path, pattern: str, keep=()):
+    """Remove the files and trees in ``directory`` that match ``pattern``,
+    but those named in ``keep``: what an earlier run left that this one
+    does not write."""
+    for path in sorted(directory.glob(pattern)):
+        if path.name not in keep:
+            (shutil.rmtree if path.is_dir() else Path.unlink)(path)
 
 
 def _sha256_file(path) -> str:
@@ -356,15 +364,23 @@ def _write_verdicts(path, verdicts):
 # The subcommands, and the generate and fuzz stages they share with ``run``
 # ---------------------------------------------------------------------------
 
-def _generate(gen: GenConfig, out: Path):
-    """Generate and compile the program of ``gen``, and write its grammar,
-    label, C source, element manifest and ``meta.json`` to ``out``."""
-    grammar, label = generate_grammar(gen)
+def _compile(grammar: Grammar, label, out: Path) -> ParserProgram:
+    """Compile ``grammar`` under ``label`` (or None), and write its grammar,
+    label, C source and element manifest to ``out``."""
     program = compile_to_parser(grammar, label)
     _write(out / "grammar.txt", serialize_grammar(grammar))
-    _write(out / "label.txt", serialize_label(label))
+    if label is not None:
+        _write(out / "label.txt", serialize_label(label))
     _write(out / "parser.c", export_c_source(program))
     _write(out / "elements.txt", element_manifest(program))
+    return program
+
+
+def _generate(gen: GenConfig, out: Path):
+    """Generate and compile the program of ``gen``, and write its files and
+    ``meta.json`` to ``out``."""
+    grammar, label = generate_grammar(gen)
+    program = _compile(grammar, label, out)
     meta = {
         "seed": gen.seed,
         "cyclomatic_complexity": cyclomatic_complexity(program),
@@ -376,19 +392,12 @@ def _generate(gen: GenConfig, out: Path):
     return grammar, program
 
 
-def _drop_stale_trials(out: Path, trials_k: int):
-    """Remove the ``trial*`` files of trials ``trials_k`` and up from ``out``."""
-    written = {f"trial{k:03d}" for k in range(trials_k)}
-    for path in out.iterdir() if out.is_dir() else ():
-        if path.name.startswith("trial") and path.name.split(".")[0] not in written:
-            path.unlink()
-
-
 def _fuzz(cfg: ExperimentConfig, programs):
     """Run ``cfg.trials_k`` campaigns on each of ``programs``, (b, grammar,
-    program, out directory) tuples, on the worker pool, and write the units
-    file of each trial that succeeds.  Per program, once its files are
-    written, yield its trials' (job, result or raised exception) pairs."""
+    program, out directory) tuples, on the worker pool.  Per program, remove
+    the ``trial*`` files in its directory, write the units file of each trial
+    that succeeds and log each that fails, then yield ``{k: (job, result)}``
+    of the trials that succeeded."""
     jobs = [
         CampaignJob(grammar, program, cfg.n_seeds, cfg.max_depth,
                     derive_seed(cfg.master_seed, f"seeds:{b}", k),
@@ -399,16 +408,22 @@ def _fuzz(cfg: ExperimentConfig, programs):
     with _pool_results(_fuzz_campaign, jobs) as results:
         pending = zip(jobs, results)
         for _, _, _, out in programs:
-            trials = []
+            _drop(out, "trial*")
+            trials = {}
             for k, (job, result) in enumerate(islice(pending, cfg.trials_k)):
                 try:
                     res = result()
-                except Exception as exc:
-                    trials.append((job, exc))
+                except Exception:
+                    log.exception("campaign failed: %s trial %d", out, k)
                     continue
                 _write(out / f"trial{k:03d}.units.txt", res.units_text)
-                trials.append((job, res._replace(units_text=None)))  # written: let it go
+                trials[k] = job, res._replace(units_text=None)  # written: let it go
             yield trials
+
+
+def _exit_code(done: int, units: int) -> int:
+    """0 when all ``units`` are done, 3 when some are, 2 when none are."""
+    return EXIT_OK if done == units else EXIT_PARTIAL if done else EXIT_RUNTIME
 
 
 def cmd_gen_grammar(args) -> int:
@@ -421,46 +436,16 @@ def cmd_gen_grammar(args) -> int:
 
 
 def cmd_gen_parser(args) -> int:
-    grammar = parse_grammar(_read(args.grammar))
     label = parse_label(_read(args.label)) if args.label else None
-    program = compile_to_parser(grammar, label)
-    out = Path(args.out)
-    _write(out / "grammar.txt", serialize_grammar(grammar))
-    if args.label:
-        _write(out / "label.txt", _read(args.label))
-    _write(out / "parser.c", export_c_source(program))
-    ir = {
-        "start": program.start,
-        "digest": program.source_grammar_digest,
-        "procedures": [
-            {
-                "nonterminal": p.nonterminal,
-                "error_element": p.error_element_id,
-                "dead_elements": list(p.dead_element_ids),
-                "arms": [
-                    {
-                        "rule": a.rule_id,
-                        "element": a.element_id,
-                        "loop": a.is_loop,
-                        "predict": sorted(a.predict),
-                    }
-                    for a in p.arms
-                ],
-            }
-            for p in program.procedures
-        ],
-    }
-    _write(out / "parser.ir.json", json.dumps(ir, indent=2) + "\n")
-    _write(out / "elements.txt", element_manifest(program))
+    program = _compile(parse_grammar(_read(args.grammar)), label, Path(args.out))
+    ir = {"start": program.start, "digest": program.source_grammar_digest, "procedures": [
+        {"nonterminal": p.nonterminal, "error_element": p.error_element_id,
+         "dead_elements": list(p.dead_element_ids),
+         "arms": [{"rule": a.rule_id, "element": a.element_id, "loop": a.is_loop,
+                   "predict": sorted(a.predict)} for a in p.arms]}
+        for p in program.procedures]}
+    _write(Path(args.out) / "parser.ir.json", json.dumps(ir, indent=2) + "\n")
     return EXIT_OK
-
-
-def _load_program_dir(program_dir):
-    pdir = Path(program_dir)
-    grammar = parse_grammar(_read(pdir / "grammar.txt"))
-    label_path = pdir / "label.txt"
-    label = parse_label(_read(label_path)) if label_path.exists() else None
-    return grammar, compile_to_parser(grammar, label)
 
 
 def cmd_fuzz(args) -> int:
@@ -472,15 +457,11 @@ def cmd_fuzz(args) -> int:
     for key in ("trials_k", "n_seeds", "max_depth"):
         check_count(key, getattr(cfg, key))
     cfg.campaign.validate()
-    grammar, program = _load_program_dir(args.program)
-    out = Path(args.out)
-    [trials] = _fuzz(cfg, [(0, grammar, program, out)])
-    failures = 0
-    for k, (job, res) in enumerate(trials):
-        if isinstance(res, Exception):
-            log.error("trial %d failed", k, exc_info=res)
-            failures += 1
-            continue
+    pdir, out = Path(args.program), Path(args.out)
+    grammar = parse_grammar(_read(pdir / "grammar.txt"))
+    label = parse_label(_read(pdir / "label.txt")) if (pdir / "label.txt").exists() else None
+    [trials] = _fuzz(cfg, [(0, grammar, compile_to_parser(grammar, label), out)])
+    for k, (job, res) in trials.items():
         summary = {
             "trial": k,
             "t": res.matrix.t,
@@ -493,14 +474,11 @@ def cmd_fuzz(args) -> int:
             "trial_seed": job.config.trial_seed,
         }
         _write(out / f"trial{k:03d}.summary.json", json.dumps(summary, indent=2) + "\n")
-    if failures == args.trials:
-        return EXIT_RUNTIME
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return _exit_code(len(trials), cfg.trials_k)
 
 
 def cmd_rebin(args) -> int:
-    units = parse_units(_read(args.incidence))
-    matrix = rebin(build_incidence_matrix(units), args.merge)
+    matrix = rebin(build_incidence_matrix(parse_units(_read(args.incidence))), args.merge)
     _write(args.out, serialize_units(matrix.units()))
     return EXIT_OK
 
@@ -545,11 +523,8 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_import_incidence(args) -> int:
     text = _read(args.input)
-    if args.schema == "sparse":
-        units = parse_units(text)
-        matrix = build_incidence_matrix(units)
-    else:
-        matrix = from_dense_csv(text)
+    matrix = (build_incidence_matrix(parse_units(text)) if args.schema == "sparse"
+              else from_dense_csv(text))
     _write(args.out, serialize_units(matrix.units()))
     return EXIT_OK
 
@@ -577,53 +552,48 @@ def _stage_mark(stage_dir: Path, digest: str, names):
     _write(stage_dir / ".stage.digest", _stage_marker(stage_dir, digest, names))
 
 
-def run_experiment(config: dict, out_dir) -> int:
-    """Generate -> compile -> fuzz -> estimate -> evaluate -> sensitivity."""
-    cfg = ExperimentConfig.from_json(config)
-    cfg.validate()
-    master = cfg.master_seed
-    methods = ALL_METHODS if cfg.estimators == "all" else cfg.estimators
-    out = Path(out_dir)
-    timings = {}
-    manifest = {"version": __version__, "config": cfg.to_json(), "stages": {}, "artifacts": {}}
-    digest = hashlib.sha256(json.dumps(manifest["config"], sort_keys=True).encode()).hexdigest()
-
-    # Stage 1: grammars + programs.
+@contextmanager
+def _timed(stages: dict, name: str):
+    """Record the block's wall time in ``stages[name]``, in seconds."""
     t0 = time.perf_counter()
-    programs = []
-    for b in range(cfg.n_programs):
-        programs.append(_generate(replace(cfg.generation, seed=derive_seed(master, "grammar", b)),
-                                  out / "grammars" / f"prog{b:03d}"))
-    timings["generate"] = time.perf_counter() - t0
+    yield
+    stages[name] = round(time.perf_counter() - t0, 3)
 
-    # Stage 2: fuzzing campaigns of the programs not fuzzed yet.
-    t0 = time.perf_counter()
-    logs, todo = [None] * cfg.n_programs, []
+
+def _fuzz_stage(cfg: ExperimentConfig, digest: str, programs, idir: Path, manifest: dict):
+    """Stage 2: the campaigns of each program whose marker in ``idir`` does
+    not hold.  Returns each program's trial matrices, or None for a program
+    with a failed trial: it gets no marker, so a rerun fuzzes it again.
+    Records ``fuzz_workers``, ``parser_runs`` and ``failed_trials``."""
+    logs, todo = [None] * len(programs), []
     units_files = [f"trial{k:03d}.units.txt" for k in range(cfg.trials_k)]
     for b, (grammar, program) in enumerate(programs):
-        psub = out / "incidence" / f"prog{b:03d}"
+        psub = idir / f"prog{b:03d}"
         if _stage_done(psub, digest, units_files):
             logs[b] = [build_incidence_matrix(parse_units(_read(psub / name)))
                        for name in units_files]
         else:
-            _drop_stale_trials(psub, cfg.trials_k)
+            (psub / ".stage.digest").unlink(missing_ok=True)
             todo.append((b, grammar, program, psub))
     manifest["fuzz_workers"] = _pool_workers(len(todo) * cfg.trials_k)
-    manifest["parser_runs"] = {}  # per program fuzzed in this run
+    parser_runs = manifest["parser_runs"] = {}  # per program fuzzed in this run
+    failed = manifest["failed_trials"] = {}
     with closing(_fuzz(cfg, todo)) as stage:
         for (b, _, _, psub), trials in zip(todo, stage):
-            for _, res in trials:
-                if isinstance(res, Exception):
-                    raise res
-            logs[b] = [res.matrix for _, res in trials]
-            manifest["parser_runs"][psub.name] = sum(res.parser_runs for _, res in trials)
+            parser_runs[psub.name] = sum(res.parser_runs for _, res in trials.values())
+            if len(trials) < cfg.trials_k:
+                failed[psub.name] = sorted(set(range(cfg.trials_k)) - trials.keys())
+                continue
+            logs[b] = [res.matrix for _, res in trials.values()]
             _stage_mark(psub, digest, units_files)
-    timings["fuzz"] = time.perf_counter() - t0
+    return logs
 
-    # Stage 3: estimates at checkpoints.  A method's jobs are one pool job.
-    t0 = time.perf_counter()
-    edir = out / "estimates"
-    shard_workers = _pool_workers(len(set(methods)))
+
+def _estimate_stage(cfg: ExperimentConfig, methods, digest: str, logs, edir: Path,
+                    manifest: dict):
+    """Stage 3: the estimates at the checkpoints of each program that has
+    ``logs`` and whose marker in ``edir`` does not hold, in one batch per
+    program.  Records ``estimate_workers``; returns the trial files' names."""
     manifest["estimate_workers"] = 0
     t_max = cfg.campaign.budget_n // cfg.campaign.unit_size_r  # every campaign's
     checkpoints = cfg.checkpoints or sorted(
@@ -632,49 +602,68 @@ def run_experiment(config: dict, out_dir) -> int:
     estimate_files = [f"trial{k:03d}.csv" for k in range(cfg.trials_k)]
     for b, trials in enumerate(logs):
         esub = edir / f"prog{b:03d}"
-        if _stage_done(esub, digest, estimate_files):
+        if trials is None or _stage_done(esub, digest, estimate_files):
             continue
-        # One estimate batch for the program: every trial, checkpoint and method.
         jobs = []
         for k, trial in enumerate(trials):
             for t_cp in checkpoints:
-                matrix, seed = head(trial, t_cp), derive_seed(master, f"ci:{b}:{t_cp}", k)
+                matrix = head(trial, t_cp)
+                seed = derive_seed(cfg.master_seed, f"ci:{b}:{t_cp}", k)
                 jobs += [(matrix, m, seed) for m in methods]
         ests = _estimates(jobs, cfg.ci_level, boot_b=cfg.bootstrap_b)
-        manifest["estimate_workers"] = shard_workers
-        _drop_stale_trials(esub, cfg.trials_k)
+        manifest["estimate_workers"] = _pool_workers(len(set(methods)))
+        _drop(esub, "trial*")
         for k, name in enumerate(estimate_files):
             _write_estimates(esub / name, ests[k * n_rows:(k + 1) * n_rows])
         _stage_mark(esub, digest, estimate_files)
-    timings["estimate"] = time.perf_counter() - t0
+    return estimate_files
 
-    # Stage 4: RQ1 report against ground truth.
-    t0 = time.perf_counter()
-    report = []
-    for b, (_, program) in enumerate(programs):
-        report += rq1_report([edir / f"prog{b:03d}" / name for name in estimate_files],
-                             len(program.ground_truth), program=b)
-    _write(out / "report.json", json.dumps(report, indent=2) + "\n")
-    _write_csv(out / "report.csv", RUN_REPORT_FIELDS, report)
-    timings["evaluate"] = time.perf_counter() - t0
 
-    # Stage 5: RQ2 sensitivity on rebinned logs.
-    t0 = time.perf_counter()
-    manifest["sensitivity_workers"] = shard_workers
-    for b, trials in enumerate(logs):
-        _write_verdicts(out / f"verdicts_prog{b:03d}.csv", sensitivity_analysis(
-            trials, cfg.unit_sizes, methods,
-            alpha=cfg.alpha, level=cfg.ci_level, base_r=cfg.campaign.unit_size_r,
-            seed=derive_seed(master, f"sensitivity:{b}"),
-            batch=_estimates, boot_b=cfg.bootstrap_b))
-    timings["sensitivity"] = time.perf_counter() - t0
+def run_experiment(config: dict, out_dir) -> int:
+    """Generate -> compile -> fuzz -> estimate -> evaluate -> sensitivity.
 
+    A program with a failed campaign goes no further than the fuzz stage.
+    Its estimates and verdicts from an earlier run are removed, and so are
+    the files of programs ``n_programs`` and up.  Returns 0 when every
+    program is done, 3 when some are and 2 when none are."""
+    cfg = ExperimentConfig.from_json(config)
+    cfg.validate()
+    master, out = cfg.master_seed, Path(out_dir)
+    methods = ALL_METHODS if cfg.estimators == "all" else cfg.estimators
+    manifest = {"version": __version__, "config": cfg.to_json(), "stages": {}, "artifacts": {}}
+    digest = hashlib.sha256(json.dumps(manifest["config"], sort_keys=True).encode()).hexdigest()
+    stages, names = manifest["stages"], [f"prog{b:03d}" for b in range(cfg.n_programs)]
+    with _timed(stages, "generate"):
+        programs = [_generate(replace(cfg.generation, seed=derive_seed(master, "grammar", b)),
+                              out / "grammars" / name) for b, name in enumerate(names)]
+    with _timed(stages, "fuzz"):
+        logs = _fuzz_stage(cfg, digest, programs, out / "incidence", manifest)
+    done = [b for b, trials in enumerate(logs) if trials is not None]
+    for sub, keep in (("grammars", names), ("incidence", names),
+                      ("estimates", [names[b] for b in done])):
+        _drop(out / sub, "prog*", keep)
+    _drop(out, "verdicts_prog*.csv", [f"verdicts_{names[b]}.csv" for b in done])
+    with _timed(stages, "estimate"):
+        estimate_files = _estimate_stage(cfg, methods, digest, logs, out / "estimates", manifest)
+    with _timed(stages, "evaluate"):
+        report = []
+        for b in done:
+            report += rq1_report([out / "estimates" / names[b] / f for f in estimate_files],
+                                 len(programs[b][1].ground_truth), program=b)
+        _write(out / "report.json", json.dumps(report, indent=2) + "\n")
+        _write_csv(out / "report.csv", RUN_REPORT_FIELDS, report)
+    with _timed(stages, "sensitivity"):
+        manifest["sensitivity_workers"] = _pool_workers(len(set(methods)))
+        for b in done:
+            _write_verdicts(out / f"verdicts_{names[b]}.csv", sensitivity_analysis(
+                logs[b], cfg.unit_sizes, methods, alpha=cfg.alpha, level=cfg.ci_level,
+                base_r=cfg.campaign.unit_size_r, seed=derive_seed(master, f"sensitivity:{b}"),
+                batch=_estimates, boot_b=cfg.bootstrap_b))
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "run_manifest.json":
             manifest["artifacts"][str(path.relative_to(out))] = _sha256_file(path)
-    manifest["stages"] = {k: round(v, 3) for k, v in timings.items()}
     _write(out / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    return _exit_code(len(done), cfg.n_programs)
 
 
 def cmd_run(args) -> int:

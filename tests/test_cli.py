@@ -432,6 +432,16 @@ class TestRun:
         artifacts = json.loads((out / "run_manifest.json").read_text())["artifacts"]
         assert not [rel for rel in artifacts if "trial002" in rel]
 
+    def test_rerun_with_fewer_programs_drops_the_later_programs(self, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "runG"
+        for n_programs in (3, 2):
+            cfg.write_text(json.dumps(dict(TINY_RUN, n_programs=n_programs)))
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert {row["program"] for row in json.loads((out / "report.json").read_text())} == {0, 1}
+        assert not [p for p in out.rglob("*") if "prog002" in str(p.relative_to(out))]
+        artifacts = json.loads((out / "run_manifest.json").read_text())["artifacts"]
+        assert not [rel for rel in artifacts if "prog002" in rel]
+
     def test_report_command_prints_rows(self, tmp_path, capsys):
         out = self._run(tmp_path, "runD")
         assert main(["report", "--run", str(out)]) == EXIT_OK
@@ -460,7 +470,8 @@ class TestRun:
     def test_stage_commands_reproduce_the_run(self, tmp_path):
         """``fuzz`` on a run's program 0, with the run's settings and master
         seed, gives its campaigns; ``estimate`` with a checkpoint's seed gives
-        the run's estimates at that checkpoint."""
+        the run's estimates at that checkpoint; ``sensitivity`` with the
+        program's seed gives its verdicts, and ``evaluate`` its report rows."""
         config = dict(TINY_RUN, ci_level=0.0)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -486,6 +497,20 @@ class TestRun:
         rows = list(csv.DictReader((run / "estimates/prog000/trial000.csv").open()))
         assert (list(csv.DictReader(est.open()))
                 == [r for r in rows if r["t"] == str(t)])
+        ver = tmp_path / "v.csv"
+        assert main(["sensitivity", "--logs", str(run / "incidence/prog000"),
+                     "--unit-sizes", ",".join(map(str, config["unit_sizes"])),
+                     "--methods", ",".join(config["estimators"]), "--level", "0",
+                     "--seed", str(derive_seed(master, "sensitivity:0")),
+                     "--out", str(ver)]) == EXIT_OK
+        assert ver.read_bytes() == (run / "verdicts_prog000.csv").read_bytes()
+        report = tmp_path / "r.csv"
+        assert main(["evaluate", "--truth", str(run / "grammars/prog000/elements.txt"),
+                     "--estimates", str(run / "estimates/prog000"),
+                     "--out", str(report)]) == EXIT_OK
+        run_rows = [{k: v for k, v in r.items() if k not in ("program", "true_s")}
+                    for r in csv.DictReader((run / "report.csv").open()) if r["program"] == "0"]
+        assert list(csv.DictReader(report.open())) == run_rows
 
 
 # ---------------------------------------------------------------------------
@@ -567,22 +592,65 @@ class TestCampaignPool:
         assert before.keys() == after.keys()
         assert all(before[k] == after[k] for k in before if k != "run_manifest.json")
 
-    @pytest.mark.parametrize("exc,code", [(RuntimeError("boom"), EXIT_RUNTIME),
-                                          (CampaignError("bad campaign"), EXIT_CONFIG)],
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), CampaignError("bad campaign")],
                              ids=["runtime", "config"])
-    def test_failing_campaign_stops_the_run_the_same_way(self, tmp_path, monkeypatch, exc,
-                                                         code):
+    def test_failing_campaign_stops_the_run_the_same_way(self, tmp_path, monkeypatch, exc):
+        """A failed campaign stops its own program after the fuzz stage, on
+        one worker or two, whatever it raised; the other programs finish and
+        the run exits 3."""
         _fail_on(monkeypatch, derive_seed(POOL_RUN["master_seed"], "campaign:1", 1), exc)
         files = []
         for cpus in (1, 2):
             rc, out = _pool_run(tmp_path, monkeypatch, cpus)
-            assert rc == code
-            files.append(_files(out))
+            assert rc == EXIT_PARTIAL
+            files.append({k: v for k, v in _files(out).items() if k != "run_manifest.json"})
         assert files[0] == files[1]
         assert "incidence/prog001/trial000.units.txt" in files[0]
-        assert "incidence/prog001/trial001.units.txt" not in files[0]
+        assert not [name for name in files[0] if "prog001/trial001" in name]
         assert "incidence/prog001/.stage.digest" not in files[0]
-        assert not any(name.startswith("incidence/prog002") for name in files[0])
+        assert not (out / "estimates/prog001").exists()
+        for b in (0, 1, 2):
+            assert (f"estimates/prog{b:03d}/.stage.digest" in files[0]) == (b != 1)
+            assert (f"verdicts_prog{b:03d}.csv" in files[0]) == (b != 1)
+        assert {row["program"] for row in json.loads(files[0]["report.json"])} == {0, 2}
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["failed_trials"] == {"prog001": [1]}
+
+    def test_rerun_after_a_failed_campaign_fuzzes_only_its_program(self, tmp_path, monkeypatch):
+        """The program with the failed campaign has no marker, so a rerun
+        fuzzes it, and only it, and ends with the files of a clean run."""
+        real = cli.run_campaign
+        _fail_on(monkeypatch, derive_seed(POOL_RUN["master_seed"], "campaign:1", 1),
+                 RuntimeError("boom"))
+        rc, out = _pool_run(tmp_path, monkeypatch, 2)
+        assert rc == EXIT_PARTIAL
+        monkeypatch.setattr(cli, "run_campaign", real)
+        rc, _ = _pool_run(tmp_path, monkeypatch, 2)
+        assert rc == EXIT_OK
+        resumed = json.loads((out / "run_manifest.json").read_text())
+        assert set(resumed["parser_runs"]) == {"prog001"}
+        assert resumed["failed_trials"] == {}
+        rc, clean = _pool_run(tmp_path, monkeypatch, 1)
+        assert rc == EXIT_OK
+        assert resumed["artifacts"] == json.loads(
+            (clean / "run_manifest.json").read_text())["artifacts"]
+
+    def test_failed_program_loses_its_earlier_results(self, tmp_path, monkeypatch):
+        """A program whose campaign fails keeps no estimates or verdicts from an
+        earlier run, so the report, the verdicts and the manifest agree."""
+        rc, out = _pool_run(tmp_path, monkeypatch, 2)
+        assert rc == EXIT_OK
+        config = dict(POOL_RUN, bootstrap_b=POOL_RUN["bootstrap_b"] + 1)
+        _fail_on(monkeypatch, derive_seed(config["master_seed"], "campaign:1", 0),
+                 RuntimeError("boom"))
+        rc, _ = _pool_run(tmp_path, monkeypatch, 2, config)
+        assert rc == EXIT_PARTIAL
+        stale = ["estimates/prog001", "verdicts_prog001.csv", "incidence/prog001/.stage.digest",
+                 "incidence/prog001/trial000.units.txt"]
+        assert not [rel for rel in stale if (out / rel).exists()]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert not [rel for rel in manifest["artifacts"] if rel.startswith(tuple(stale))]
+        assert {row["program"] for row in json.loads((out / "report.json").read_text())} == {0, 2}
 
     def test_fuzz_units_match_across_worker_counts(self, tmp_path, monkeypatch, program_dir):
         units = []
@@ -608,6 +676,17 @@ class TestCampaignPool:
         ]
         summary = json.loads((out / "trial002.summary.json").read_text())
         assert summary["t"] == 30 and summary["trial_seed"] == derive_seed(2, "campaign:0", 2)
+
+    def test_fuzz_with_fewer_trials_drops_the_later_trials(self, tmp_path, program_dir):
+        out = tmp_path / "logs"
+        for trials in ("3", "2"):
+            assert main(["fuzz", "--program", str(program_dir), "--trials", trials,
+                         "--budget", "300", "--unit-size", "10", "--seed", "1",
+                         "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "trial000.summary.json", "trial000.units.txt",
+            "trial001.summary.json", "trial001.units.txt",
+        ]
 
 
 # Method shards of the estimate and sensitivity stages.
