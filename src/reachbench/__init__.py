@@ -18,7 +18,7 @@ from .codegen import (
     interpret_parser,
     export_c_source,
 )
-from .estimators import ALL_METHODS, EstimateWithCI, estimate, estimate_all, point_estimate
+from .estimators import ALL_METHODS, EstimateWithCI, estimate, estimate_all
 from .evaluation import (
     BernoulliProductModel,
     SensitivityVerdict,
@@ -47,11 +47,5 @@ from .grammar import (
     serialize_grammar,
 )
 from .grammargen import GenConfig, GroundTruthLabel, generate_grammar
-from .incidence import (
-    FrequencyCounts,
-    IncidenceMatrix,
-    build_incidence_matrix,
-    frequency_counts,
-    rebin,
-)
+from .incidence import IncidenceMatrix, build_incidence_matrix, rebin
 from .stattests import mann_whitney_u, shapiro_wilk, welch_t_test

@@ -206,6 +206,11 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         self.campaign.validate()
         check_unit_sizes(self.unit_sizes, self.campaign.unit_size_r)
+        t_max = self.campaign.budget_n // self.campaign.unit_size_r  # every campaign's
+        for r in self.unit_sizes:
+            if r // self.campaign.unit_size_r > t_max:
+                raise ValueError(f"unit size {r} merges {r // self.campaign.unit_size_r} "
+                                 f"units, more than the campaigns' {t_max}")
         self.generation.validate()
         if self.estimators != "all":
             if not isinstance(self.estimators, tuple) or not self.estimators:
@@ -216,7 +221,6 @@ class ExperimentConfig:
             if not isinstance(self.checkpoints, tuple):
                 raise ValueError("checkpoints must be a list of unit counts, "
                                  f"got {self.checkpoints!r}")
-            t_max = self.campaign.budget_n // self.campaign.unit_size_r  # every campaign's
             for t_cp in self.checkpoints:
                 check_count("checkpoints", t_cp)
                 if t_cp > t_max:
@@ -498,8 +502,11 @@ def _true_richness_from_manifest(path) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    report = rq1_report(sorted(Path(args.estimates).glob("*.csv")),
-                        _true_richness_from_manifest(args.truth))
+    paths = sorted(Path(args.estimates).glob("*.csv"))
+    if not paths:
+        log.error("no *.csv estimates in %s", args.estimates)
+        return EXIT_CONFIG
+    report = rq1_report(paths, _true_richness_from_manifest(args.truth))
     if Path(args.out).suffix == ".json":
         _write(args.out, json.dumps(report, indent=2) + "\n")
     else:

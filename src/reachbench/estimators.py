@@ -1,20 +1,24 @@
 """Incidence-based species-richness estimators of maximum reachability.
 
-Twelve estimators map frequency counts (t, f_1..f_t) to a point estimate of
-the total number of coverage elements, with a two-sided confidence interval.
-Chao-type intervals are normal intervals on the classical asymptotic
-variance, truncated below at the observed richness; everything else (and any
+Twelve estimators map a log of t units to a point estimate of the total
+number of coverage elements, with a two-sided confidence interval.  Each
+reads the log only through t and its incidence frequencies Y, one int64
+array with the number of units that saw each observed element; the
+frequency counts f_k are a tally of Y, and S_obs its length.  Chao-type
+intervals are normal intervals on the classical asymptotic variance,
+truncated below at the observed richness; everything else (and any
 degenerate case) falls back to a nonparametric bootstrap over sampling
-units.  Degenerate inputs never raise:
-every estimator returns a status of ok, degenerate-fallback, or failed.
+units.  Degenerate inputs never raise: every estimator returns a status of
+ok, degenerate-fallback, or failed.
 
 The ten closed forms are each written once, over arrays: they score a batch
-of count vectors that share t, one per row, and a single count vector is a
-batch of one.  The unit bootstrap draws the units of a block of resamples in
-one call, turns them into a (resamples x t) multiplicity matrix, and takes
-every resample's incidence frequencies Y as that matrix times W transposed,
-in float32 (every partial sum is an integer no larger than t, so exact in
-any summation order while t < 2^24; float64 above).  A closed form then
+of Y that share t, one per row (led by 0s, which mark no element, where a
+row is shorter than the batch), and a single Y is a batch of one.  The unit
+bootstrap draws the units of a block of resamples in one call, turns them
+into a (resamples x t) multiplicity matrix, and takes every resample's
+incidence frequencies Y as that matrix times W transposed, in float32
+(every partial sum is an integer no larger than t, so exact in any
+summation order while t < 2^24; float64 above).  A closed form then
 scores the whole block at once.  Each formula keeps the operation order of
 its scalar form, and the bootstrap estimator's sum is a sequential cumsum,
 as Python's sum was.  Its (1 - k/t)^t terms and Zelterman's exp come from
@@ -30,19 +34,20 @@ the distinct resamples of all its jobs in one call.
 The two binomial-mixture NPMLEs are fitted by EM accelerated with SQUAREM
 (a squared extrapolation of two EM steps), with a fallback to the plain EM
 step whenever the extrapolation would lower the objective, so the fit is
-monotone.  Their ``iterations`` diagnostic counts EM steps.  Count vectors
-with the same number of distinct k rounded up to a multiple of 8 share one
-queued EM, whatever their t: each is padded to that width with its own last
-k at count 0, and t, the grid, log C(t, k) and the support floor are per
-row.  The rows iterate in a live stack of at most b rows (the bootstrap's
-resample count), refilled from the queue at a cycle's start once half of it
-has stopped, and each row counts its own EM steps.  An EM step builds the
-log pmf of a block of rows in one buffer, by one small matrix product per
-row, and takes exp only on lanes that do not underflow to 0 (numpy's
-vectorized exp is slow on those).  It gets the class totals as w times a
-product of f/mix with the pmf, with no responsibility array.  A row's
-arithmetic never depends on its neighbours or on when it joined the stack,
-so a fit in a batch is the same as the fit alone.
+monotone.  Their ``iterations`` diagnostic counts EM steps.  A Y is fitted as
+its distinct k and their counts f_k.  The Y with the same number of distinct
+k rounded up to a multiple of 8 share one queued EM, whatever their t: each
+is padded to that width with its own last k at count 0, and t, the grid,
+log C(t, k) and the support floor are per row.  The rows iterate in a live
+stack of at most b rows (the bootstrap's resample count), refilled from the
+queue at a cycle's start once half of it has stopped, and each row counts
+its own EM steps.  An EM step builds the log pmf of a block of rows in one
+buffer, by one small matrix product per row, and takes exp only on lanes
+that do not underflow to 0 (numpy's vectorized exp is slow on those).  It
+gets the class totals as w times a product of f/mix with the pmf, with no
+responsibility array.  A row's arithmetic never depends on its neighbours or
+on when it joined the stack, so a fit in a batch is the same as the fit
+alone.
 """
 
 from __future__ import annotations
@@ -50,12 +55,11 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .incidence import FrequencyCounts, IncidenceMatrix, counts_from_y, frequency_counts
+from .incidence import IncidenceMatrix
 from .stattests import ndtri
 
 ALL_METHODS = (
@@ -110,8 +114,8 @@ def _failed(method, t, reason):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form point estimators, each scored on a batch of count vectors that
-# share t.  Each returns (point, status, diagnostics): a float array with NaN
+# Closed-form point estimators, each scored on a batch of Y rows that share
+# t.  Each returns (point, status, diagnostics): a float array with NaN
 # on failed rows, a str array of statuses, and a function of a row index that
 # builds that row's diagnostics dict.  Every formula works row by row, in the
 # operation order of the scalar form it replaced: a row's value does not
@@ -120,7 +124,7 @@ def _failed(method, t, reason):
 
 @dataclass(frozen=True)
 class _Rows:
-    """The frequency data of count vectors that share t, one per row."""
+    """The frequency data of logs that share t, one per row."""
 
     t: int
     y: np.ndarray  # (rows, width) int64 incidence frequencies; 0 marks no element
@@ -129,7 +133,7 @@ class _Rows:
 
 
 def _rows(t, y):
-    """_Rows of the int64 incidence frequencies ``y`` (one row per vector)."""
+    """_Rows of the int64 incidence frequencies ``y`` (one row per log)."""
     rows, width = y.shape
     cols = max(t, 10) + 1
     f = np.bincount((y + cols * np.arange(rows)[:, None]).ravel(),
@@ -474,7 +478,7 @@ def _take(arrays, rows):
 
 
 def _em(t, ks, fks, penalized, cfg, stack_rows=None):
-    """SQUAREM-accelerated EM for rows of count vectors that share a padded
+    """SQUAREM-accelerated EM for rows of (k, f_k) pairs that share a padded
     width, each with its own number of units t (arguments as for
     ``_em_start``).
 
@@ -547,42 +551,42 @@ def _em(t, ks, fks, penalized, cfg, stack_rows=None):
                 live = _take(live, ~spent)
 
 
-def _npmle(counts_list, penalized: bool, cfg: EMConfig, stack_rows=None):
+def _npmle(pairs, penalized: bool, cfg: EMConfig, stack_rows=None):
     """Zero-truncated binomial mixtures fitted by EM over a support grid.
 
     The unobserved zero class is handled by data augmentation; the
     penalized variant shrinks the augmented zero count, which bounds the
     estimate away from the f0 blow-up of the raw mixture likelihood.
 
-    Each count vector is read once.  Its (k, f_k) pairs are padded to its
-    number of distinct k rounded up to a multiple of ``_EM_WIDTH_STEP``,
-    with its own last k at count 0, which adds nothing to the fit, and the
-    vectors of one padded width, whatever their t, are fitted in one queued
-    EM with a live stack of at most ``stack_rows`` rows.  The padded width
-    depends only on the vector itself, so each fit is the same as fitting
-    that vector alone.  Returns one (point, status, diagnostics) per count
-    vector.
+    Each (t, Y) pair is read once.  The distinct k of Y and their counts
+    f_k are padded to the number of distinct k rounded up to a multiple of
+    ``_EM_WIDTH_STEP``, with the last k at count 0, which adds nothing to
+    the fit, and the pairs of one padded width, whatever their t, are
+    fitted in one queued EM with a live stack of at most ``stack_rows``
+    rows.  The padded width depends only on the pair itself, so each fit is
+    the same as fitting that pair alone.  Returns one (point, status,
+    diagnostics) per pair.
     """
-    results = [None] * len(counts_list)
-    # Padded width -> indices, t and S_obs of its vectors, and their padded
+    results = [None] * len(pairs)
+    # Padded width -> indices, t and S_obs of its pairs, and their padded
     # k and f_k as float rows: machine numbers, so that a long queue holds no
     # Python objects per entry.
     buckets = {}
-    for i, c in enumerate(counts_list):
-        if c.t < 2:
+    for i, (t, y) in enumerate(pairs):
+        if t < 2:
             results[i] = (None, "failed", {"reason": "need at least 2 sampling units"})
-        elif c.s_obs == 0:
+        elif not len(y):
             results[i] = (None, "failed", {"reason": "no observed elements"})
         else:
-            ks = sorted(c.f)
+            ks, fks = (a.tolist() for a in np.unique(y, return_counts=True))
             pad = -len(ks) % _EM_WIDTH_STEP
             if len(ks) + pad not in buckets:
                 buckets[len(ks) + pad] = tuple(array(code) for code in "qqqdd")
             bucket = buckets[len(ks) + pad]
-            for column, value in zip(bucket, (i, c.t, c.s_obs)):
+            for column, value in zip(bucket, (i, t, len(y))):
                 column.append(value)
             bucket[3].extend(ks + [ks[-1]] * pad)
-            bucket[4].extend([c.f[k] for k in ks] + [0] * pad)
+            bucket[4].extend(fks + [0] * pad)
     for width, (members, ts, s_obs, ks, fks) in buckets.items():
         fits = _em(np.frombuffer(ts, dtype=np.int64), np.frombuffer(ks).reshape(-1, width),
                    np.frombuffer(fks).reshape(-1, width), penalized, cfg, stack_rows)
@@ -594,8 +598,8 @@ def _npmle(counts_list, penalized: bool, cfg: EMConfig, stack_rows=None):
 
 
 def _npmle_finish(t, n, penalized, w, pis, ll, iters, ll_delta, converged):
-    """Prune and merge one fitted mixture of a count vector of t units and
-    n observed elements, then turn it into a point estimate."""
+    """Prune and merge one fitted mixture of a log of t units and n observed
+    elements, then turn it into a point estimate."""
     if not converged:
         return None, "failed", {
             "reason": "EM did not converge",
@@ -636,25 +640,20 @@ def _npmle_finish(t, n, penalized, w, pis, ll, iters, ll_delta, converged):
     }
 
 
-def point_estimate(counts: FrequencyCounts, method: str, *, em_config: EMConfig = None):
-    """Dispatch to one of the twelve estimators; returns (point, status, diagnostics)."""
-    return point_estimates([counts], method, em_config=em_config)[0]
+def point_estimates(pairs, method: str, *, em_config: EMConfig = None, stack_rows=None):
+    """One method's (point, status, diagnostics) for each (t, Y) pair in the
+    list ``pairs``: Y is an int64 array of a log's nonzero incidence
+    frequencies, and t its number of units.
 
-
-def point_estimates(counts_list, method: str, *, em_config: EMConfig = None, stack_rows=None):
-    """point_estimate for each count vector in ``counts_list``, a sequence
-    that is read once, in order.
-
-    The NPMLE methods fit all the vectors in one queued EM per padded width,
+    The NPMLE methods fit all the pairs in one queued EM per padded width,
     with at most ``stack_rows`` rows iterating at once (default: all); each
-    result is the same as fitting that vector alone.  A closed form scores
-    each vector as a batch of one.
+    result is the same as fitting that pair alone.  A closed form scores
+    each pair as a batch of one.
     """
     check_methods((method,))
     if method in ("unpmle", "pnpmle"):
-        return _npmle(counts_list, method == "pnpmle", em_config or EMConfig(), stack_rows)
-    return [_row(_closed_form(_rows(c.t, np.array(c.y, dtype=np.int64).reshape(1, -1)), method), 0)
-            for c in counts_list]
+        return _npmle(pairs, method == "pnpmle", em_config or EMConfig(), stack_rows)
+    return [_row(_closed_form(_rows(t, y.reshape(1, -1)), method), 0) for t, y in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +673,10 @@ def check_methods(methods):
             raise ValueError(f"unknown estimator {method!r}")
 
 
-def _chao_type_variance(c: FrequencyCounts, method: str, point: float):
-    """Classical asymptotic variance for Chao2 / Chao2_bc at their ``point``;
-    None when undefined."""
-    t, f1, f2 = c.t, c.fk(1), c.fk(2)
+def _chao_type_variance(t, y, method: str, point: float):
+    """Classical asymptotic variance for Chao2 / Chao2_bc at their ``point``
+    on the incidence frequencies ``y`` of t units; None when undefined."""
+    f1, f2 = (int(np.count_nonzero(y == k)) for k in (1, 2))  # Python ints: f1 ** 4 is exact
     a = (t - 1) / t
     if method == "chao2":
         if f1 == 0:
@@ -739,25 +738,6 @@ def _resampled_y(rng, wt, n):
     return np.sort((mult @ wt).astype(np.int64), axis=1)
 
 
-class _DistinctResamples(Sequence):
-    """Resampled count vectors held compactly, as (t, sorted nonzero Y
-    bytes); item i is built as FrequencyCounts only when it is read."""
-
-    def __init__(self):
-        self._rows = []
-
-    def __len__(self):
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        t, key = self._rows[i]
-        return counts_from_y(t, np.frombuffer(key, dtype=np.int64))
-
-    def add(self, t, key):
-        self._rows.append((t, key))
-        return len(self._rows) - 1
-
-
 def _percentile_ci(values, level, point):
     """(lo, hi, kept, failed) of the bootstrap estimates ``values``; failed
     counts those that are NaN or not finite."""
@@ -809,7 +789,7 @@ def _bootstrap_many(jobs, level, b):
     for method, members in mixtures.items():
         if not members:
             continue
-        resamples, inverses = _DistinctResamples(), []
+        resamples, inverses = [], []
         for j in members:
             matrix, _, seed, _ = jobs[j]
             # Each distinct resample is fitted once: identical resampled
@@ -819,7 +799,8 @@ def _bootstrap_many(jobs, level, b):
                 for row in y:
                     key = row[row > 0].tobytes()  # the sorted Y determine the f_k and vice versa
                     if key not in index:
-                        index[key] = resamples.add(matrix.t, key)
+                        index[key] = len(resamples)
+                        resamples.append((matrix.t, np.frombuffer(key, dtype=np.int64)))
                     inverse.append(index[key])
             inverses.append(inverse)
         points = np.array([np.nan if p is None else p for p, _, _ in point_estimates(
@@ -853,13 +834,14 @@ def estimate_many(jobs, level: float = 0.90, *, boot_b: int = 500) -> list:
     """
     check_level(level)
     jobs = list(jobs)
-    counts = [frequency_counts(matrix) for matrix, _, _ in jobs]
+    ys = [matrix.w.sum(axis=1, dtype=np.int64) for matrix, _, _ in jobs]
     by_method = {}
     for i, (_, method, _) in enumerate(jobs):
         by_method.setdefault(method, []).append(i)
     points = [None] * len(jobs)
     for method, members in by_method.items():
-        fits = point_estimates([counts[i] for i in members], method, stack_rows=boot_b)
+        fits = point_estimates([(jobs[i][0].t, ys[i]) for i in members], method,
+                               stack_rows=boot_b)
         for i, fit in zip(members, fits):
             points[i] = fit
 
@@ -869,12 +851,12 @@ def estimate_many(jobs, level: float = 0.90, *, boot_b: int = 500) -> list:
         if status == "failed":
             results[i] = _failed(method, matrix.t, diagnostics.get("reason", "failed"))
             continue
-        var = (_chao_type_variance(counts[i], method, point)
+        var = (_chao_type_variance(matrix.t, ys[i], method, point)
                if method in ANALYTIC_CI_METHODS and level != 0.0 else None)
         if level == 0.0:
             intervals[i] = point, point, {"ci": "point"}
         elif var is not None:
-            lo, hi = _normal_ci(point, counts[i].s_obs, var, level)
+            lo, hi = _normal_ci(point, len(ys[i]), var, level)
             intervals[i] = lo, hi, {"ci": "analytic-normal-truncated", "variance": var}
         else:
             boot.append(i)

@@ -1,12 +1,12 @@
-"""The incidence data model: W matrix, Y frequencies, f_k counts, rebinning.
+"""The incidence data model: the W matrix, and rebinning.
 
 An element-by-sampling-unit incidence matrix is stored densely: the
 ascending ids of the observed elements and one 0/1 ``uint8`` array W with a
-row per element and a column per unit.  All estimator inputs derive from W:
-the incidence frequencies Y_i are its row sums, the frequency counts f_k a
-``bincount`` of Y, and the observed richness its row count.  Merging
-consecutive units by logical OR (rebinning) simulates coarser sampling-unit
-sizes on the same campaign.
+row per element and a column per unit.  The estimators read only its t and
+its incidence frequencies Y, the row sums of W (one per observed element,
+all >= 1); the frequency counts f_k are a tally of Y, and the observed
+richness is its length.  Merging consecutive units by logical OR
+(rebinning) simulates coarser sampling-unit sizes on the same campaign.
 """
 
 from __future__ import annotations
@@ -50,21 +50,6 @@ class IncidenceMatrix:
         return [frozenset(ids[np.flatnonzero(col)].tolist()) for col in self.w.T]
 
 
-@dataclass(frozen=True)
-class FrequencyCounts:
-    t: int
-    f: dict  # k -> f_k, only k >= 1 with f_k > 0
-    s_obs: int
-    y: tuple  # per-element incidence frequencies, element-id order
-
-    def fk(self, k: int) -> int:
-        return self.f.get(k, 0)
-
-    @property
-    def total_incidence(self) -> int:
-        return sum(k * fk for k, fk in self.f.items())
-
-
 def build_incidence_matrix(units) -> IncidenceMatrix:
     """W from a sequence of per-unit coverage sets; element order is ascending id."""
     units = list(units)
@@ -76,18 +61,6 @@ def build_incidence_matrix(units) -> IncidenceMatrix:
     w = np.zeros((len(ids), len(units)), dtype=np.uint8)
     w[row, np.repeat(np.arange(len(units)), sizes)] = 1
     return IncidenceMatrix(t=len(units), element_ids=tuple(ids.tolist()), w=w)
-
-
-def counts_from_y(t: int, y) -> FrequencyCounts:
-    """FrequencyCounts of the incidence frequencies ``y`` (all >= 1)."""
-    counts = np.bincount(y)
-    k = np.flatnonzero(counts)
-    return FrequencyCounts(t=t, f=dict(zip(k.tolist(), counts[k].tolist())),
-                           s_obs=len(y), y=tuple(y.tolist()))
-
-
-def frequency_counts(matrix: IncidenceMatrix) -> FrequencyCounts:
-    return counts_from_y(matrix.t, matrix.w.sum(axis=1))
 
 
 def rebin(matrix: IncidenceMatrix, m: int) -> IncidenceMatrix:

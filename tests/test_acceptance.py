@@ -29,7 +29,7 @@ from reachbench.codegen import (
     interpret_parser,
     export_c_source,
 )
-from reachbench.estimators import ALL_METHODS, EstimateWithCI, estimate, point_estimate
+from reachbench.estimators import ALL_METHODS, EstimateWithCI, estimate
 from reachbench.evaluation import (
     BernoulliProductModel,
     imprecision,
@@ -45,9 +45,9 @@ from reachbench.fuzzer import (
     run_campaign,
 )
 from reachbench.grammargen import GenConfig, generate_grammar
-from reachbench.incidence import build_incidence_matrix, frequency_counts, rebin
+from reachbench.incidence import build_incidence_matrix, rebin
 from reachbench.stattests import mann_whitney_u, shapiro_wilk, welch_t_test
-from test_estimators import mkcounts
+from test_estimators import fit_one, mkcounts, tally, y_of
 
 
 def test_criterion_01_ground_truth_exact_small_scale():
@@ -190,13 +190,13 @@ def test_criterion_04_estimator_formula_fixtures():
         "jk1": ref.ref_jk1, "jk2": ref.ref_jk2, "zelterman": ref.ref_zelterman,
     }
     for method, (expected, tol) in pinned.items():
-        point, status, _ = point_estimate(base, method)
+        point, status, _ = fit_one(base, method)
         assert status == "ok"
         assert abs(point - expected) <= tol, method
-        assert abs(reference[method](base.t, base.f) - expected) <= tol, method
+        assert abs(reference[method](base[0], tally(base[1])) - expected) <= tol, method
 
     boot = mkcounts(2, {1: 1, 2: 1})
-    point, _, _ = point_estimate(boot, "bootstrap")
+    point, _, _ = fit_one(boot, "bootstrap")
     assert abs(point - 2.25) <= 1e-9
     assert abs(ref.ref_bootstrap(2, [1, 2]) - 2.25) <= 1e-9
 
@@ -205,8 +205,8 @@ def test_criterion_05_reference_cross_validation(fixture_matrix):
     """Closed-form estimators within 1e-6 relative of the independent
     reference on the bundled incidence fixture; EM estimators within 1e-3
     relative with matching support-point counts."""
-    counts = frequency_counts(fixture_matrix)
-    t, f = counts.t, counts.f
+    counts = y_of(fixture_matrix)
+    t, f = counts[0], tally(counts[1])
     closed = {
         "ichao2": ref.ref_ichao2(t, f),
         "ice": ref.ref_ice(t, f),
@@ -214,12 +214,12 @@ def test_criterion_05_reference_cross_validation(fixture_matrix):
         "chao_bunge": ref.ref_chao_bunge(t, f),
     }
     for method, expected in closed.items():
-        point, status, _ = point_estimate(counts, method)
+        point, status, _ = fit_one(counts, method)
         assert status == "ok"
         assert point == pytest.approx(expected, rel=1e-6), method
 
     for method, penalized in (("unpmle", False), ("pnpmle", True)):
-        point, status, diagnostics = point_estimate(counts, method)
+        point, status, diagnostics = fit_one(counts, method)
         expected, n_support = ref.ref_npmle(t, f, penalized=penalized)
         assert status == "ok"
         assert point == pytest.approx(expected, rel=1e-3), method

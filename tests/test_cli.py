@@ -218,6 +218,17 @@ class TestExitCodes:
                    "--out", str(tmp_path / "v.csv")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("estimates", ["empty", "missing"])
+    def test_evaluate_without_estimates_is_config_error(self, tmp_path, caplog, estimates):
+        truth, edir, out = tmp_path / "elements.txt", tmp_path / estimates, tmp_path / "r.csv"
+        truth.write_text("elements v1\n0 rule grammar reachable\n")
+        if estimates == "empty":
+            edir.mkdir()
+        rc = main(["evaluate", "--truth", str(truth), "--estimates", str(edir),
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG and not out.exists()
+        self.assert_one_line_error(caplog, f"no *.csv estimates in {edir}")
+
     @staticmethod
     def assert_one_line_error(caplog, message):
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
@@ -307,6 +318,9 @@ class TestExitCodes:
          "generation.seed is derived from master_seed and cannot be set"),
         ("campaign", {"budget_n": 500, "trial_seed": 3},
          "campaign.trial_seed is derived from master_seed and cannot be set"),
+        # A unit of 20000 executions is two campaigns long.
+        ("unit_sizes", [10, 20000], "unit size 20000 merges 2000 units, more than the "
+         "campaigns' 1000"),
     ])
     def test_bad_run_levels_are_config_errors_before_any_work(self, tmp_path, caplog, key,
                                                               value, message):

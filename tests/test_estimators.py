@@ -19,25 +19,34 @@ from reachbench.estimators import (
     estimate,
     estimate_all,
     estimate_many,
-    point_estimate,
     point_estimates,
 )
 from reachbench.evaluation import BernoulliProductModel, simulate_incidence
-from reachbench.incidence import (
-    FrequencyCounts,
-    IncidenceMatrix,
-    build_incidence_matrix,
-    counts_from_y,
-    frequency_counts,
-    head,
-)
+from reachbench.incidence import IncidenceMatrix, build_incidence_matrix, head
 
 import reference_estimators as ref
 
 
 def mkcounts(t, f):
-    y = tuple(sorted(k for k, fk in f.items() for _ in range(fk)))
-    return FrequencyCounts(t=t, f=dict(f), s_obs=len(y), y=y)
+    """(t, Y) of a log with the frequency counts {k: f_k}, Y ascending."""
+    return t, np.array(sorted(k for k, fk in f.items() for _ in range(fk)), dtype=np.int64)
+
+
+def y_of(matrix):
+    """(t, Y) of an incidence matrix, Y in element order, as ``estimate_many``
+    reads it."""
+    return matrix.t, matrix.w.sum(axis=1, dtype=np.int64)
+
+
+def tally(y):
+    """The frequency counts {k: f_k} of the incidence frequencies ``y``."""
+    k, fk = np.unique(y, return_counts=True)
+    return dict(zip(k.tolist(), fk.tolist()))
+
+
+def fit_one(pair, method, em_config=None):
+    """``point_estimates`` of one (t, Y) pair."""
+    return point_estimates([pair], method, em_config=em_config)[0]
 
 
 # t=20, S_obs=100, f1=10, f2=5; the remaining 85 elements are frequent.
@@ -56,22 +65,22 @@ class TestHandWorkedPoints:
         ],
     )
     def test_closed_forms(self, method, expected):
-        point, status, _ = point_estimate(BASE, method)
+        point, status, _ = fit_one(BASE, method)
         assert status == "ok"
         assert point == pytest.approx(expected, rel=1e-12)
 
     def test_chao2_f2_zero_branch(self):
-        point, status, diagnostics = point_estimate(mkcounts(10, {1: 3}), "chao2")
+        point, status, diagnostics = fit_one(mkcounts(10, {1: 3}), "chao2")
         assert status == "ok" and diagnostics["form"] == "f2-zero"
         assert point == pytest.approx(3 + 0.9 * 3 * 2 / 2)  # 5.7
 
     def test_chao2_no_singletons(self):
-        point, status, diagnostics = point_estimate(mkcounts(10, {2: 4}), "chao2")
+        point, status, diagnostics = fit_one(mkcounts(10, {2: 4}), "chao2")
         assert point == 4.0 and diagnostics["form"] == "no-singletons"
 
     def test_ichao2_hand_worked(self):
         c = mkcounts(20, {1: 10, 2: 5, 3: 4, 4: 2})
-        point, status, _ = point_estimate(c, "ichao2")
+        point, status, _ = fit_one(c, "ichao2")
         # chao2 = 30.5; extra = (17/80)*(4/2)*(10 - (17/38)*5*(4/2))
         assert status == "ok"
         assert point == pytest.approx(30.5 + 0.2125 * 2 * (10 - (17 / 38) * 10),
@@ -79,19 +88,19 @@ class TestHandWorkedPoints:
 
     def test_ichao2_f4_substitution(self):
         c = mkcounts(20, {1: 10, 2: 5, 3: 4})
-        point, status, diagnostics = point_estimate(c, "ichao2")
+        point, status, diagnostics = fit_one(c, "ichao2")
         assert status == "ok" and diagnostics["f4_substituted"]
 
     def test_bootstrap_hand_worked(self):
         c = mkcounts(2, {1: 1, 2: 1})
-        point, status, _ = point_estimate(c, "bootstrap")
+        point, status, _ = fit_one(c, "bootstrap")
         assert point == pytest.approx(2.25)  # 2 + 0.5^2 + 0^2
 
     def test_chao_bunge_hand_worked(self):
         c = mkcounts(20, {1: 2, 2: 3, 5: 5})
         # theta = 2 * (2 + 12 + 125) / 33^2; point = 8 / (1 - theta)
         theta = 2 * 139 / 33 ** 2
-        point, status, diagnostics = point_estimate(c, "chao_bunge")
+        point, status, diagnostics = fit_one(c, "chao_bunge")
         assert status == "ok"
         assert diagnostics["theta"] == pytest.approx(theta)
         assert point == pytest.approx(8 / (1 - theta), rel=1e-12)
@@ -115,23 +124,23 @@ class TestFixtureRegression:
 
     @pytest.mark.parametrize("method", sorted(EXPECTED))
     def test_closed_form_methods(self, method, fixture_matrix):
-        counts = frequency_counts(fixture_matrix)
-        point, status, _ = point_estimate(counts, method)
+        counts = y_of(fixture_matrix)
+        point, status, _ = fit_one(counts, method)
         assert status == "ok"
         assert point == pytest.approx(self.EXPECTED[method], rel=1e-7)
 
     @pytest.mark.parametrize("method,expected", [("unpmle", 43.43083),
                                                  ("pnpmle", 42.67132)])
     def test_em_methods(self, method, expected, fixture_matrix):
-        counts = frequency_counts(fixture_matrix)
-        point, status, diagnostics = point_estimate(counts, method)
+        counts = y_of(fixture_matrix)
+        point, status, diagnostics = fit_one(counts, method)
         assert status == "ok"
         assert point == pytest.approx(expected, rel=1e-4)
         assert diagnostics["support_points"] == 3
 
 
 class TestBatchedEM:
-    """point_estimates fits many count vectors in one EM; every row must come
+    """point_estimates fits many logs' Y in one EM; every row must come
     out exactly as it does when fitted alone, whatever its neighbours do."""
 
     @staticmethod
@@ -139,7 +148,7 @@ class TestBatchedEM:
         batch = point_estimates(rows, method, em_config=em_config, stack_rows=stack_rows)
         assert len(batch) == len(rows)
         for counts, (point, status, diagnostics) in zip(rows, batch):
-            alone = point_estimate(counts, method, em_config=em_config)
+            alone = fit_one(counts, method, em_config=em_config)
             assert (point, status) == alone[:2]
             # Whole diagnostics (iterations, support, log-likelihood, or the
             # failure reason and ll_delta), serialized so that NaN == NaN.
@@ -149,13 +158,13 @@ class TestBatchedEM:
     @pytest.mark.parametrize("method", ["unpmle", "pnpmle"])
     def test_rows_of_mixed_widths_match_single_fits(self, method, fixture_matrix):
         rows = [
-            frequency_counts(fixture_matrix),   # width 14
+            y_of(fixture_matrix),   # width 14
             BASE,                               # width 3
             mkcounts(10, {1: 3, 2: 2}),         # width 2, shares a stack with the next
             mkcounts(10, {1: 4, 3: 1}),
             mkcounts(50, {1: 4, 3: 2, 20: 6}),  # width 3, other t
             mkcounts(10, {1: 1}),               # width 1
-            FrequencyCounts(t=10, f={}, s_obs=0, y=()),
+            (10, np.zeros(0, dtype=np.int64)),
             mkcounts(1, {1: 3}),
         ]
         batch = self.assert_rows_fit_alone(rows, method, EMConfig())
@@ -168,7 +177,7 @@ class TestBatchedEM:
         cfg = EMConfig(max_iter=max_iter)
         # Rows 1-4 share t and a padded width, so they iterate in one stacked
         # array.
-        rows = [frequency_counts(fixture_matrix), mkcounts(10, {1: 1}), mkcounts(10, {10: 5}),
+        rows = [y_of(fixture_matrix), mkcounts(10, {1: 1}), mkcounts(10, {10: 5}),
                 mkcounts(10, {1: 6, 2: 1}), mkcounts(10, {1: 3, 3: 2})]
         batch = self.assert_rows_fit_alone(rows, "unpmle", cfg)
         _, status, diagnostics = batch[0]
@@ -287,13 +296,13 @@ class TestBatchedEM:
 
 
 def heavy_tailed_counts(pi_seed, t, sim_seed):
-    """Frequency counts of t units of a 400-element program whose detection
+    """(t, Y) of t units of a 400-element program whose detection
     probabilities are clip(exp(N(ln 0.01, 2)), 1e-4, 0.9), drawn from
     ``default_rng(pi_seed)``: the law of the rq2_wide benchmark workload."""
     rng = np.random.default_rng(pi_seed)
     pi = np.clip(np.exp(rng.normal(np.log(0.01), 2.0, 400)), 1e-4, 0.9)
     model = BernoulliProductModel(400, tuple(float(p) for p in pi), t)
-    return frequency_counts(simulate_incidence(model, sim_seed))
+    return y_of(simulate_incidence(model, sim_seed))
 
 
 class TestSquaremEM:
@@ -311,13 +320,15 @@ class TestSquaremEM:
     @pytest.fixture(params=sorted(CASES))
     def counts(self, request, fixture_matrix):
         case = self.CASES[request.param]
-        return frequency_counts(fixture_matrix) if case is None else heavy_tailed_counts(*case)
+        return y_of(fixture_matrix) if case is None else heavy_tailed_counts(*case)
 
     @staticmethod
     def plain_em_point(c, penalized, tol=1e-12, max_iter=10 ** 5):
         cfg = EMConfig()
-        ks, fks = np.ascontiguousarray(np.array([sorted(c.f.items())], dtype=float).transpose(2, 0, 1))
-        t, data, w, pis = estimators._em_start(np.array([c.t]), ks, fks, penalized, cfg)
+        t_units, y = c
+        ks, fks = np.ascontiguousarray(
+            np.array([sorted(tally(y).items())], dtype=float).transpose(2, 0, 1))
+        t, data, w, pis = estimators._em_start(np.array([t_units]), ks, fks, penalized, cfg)
         prev = -np.inf
         with np.errstate(invalid="ignore", divide="ignore"):
             for it in range(1, max_iter + 1):
@@ -327,14 +338,14 @@ class TestSquaremEM:
                 prev = obj[0]
             else:
                 pytest.fail(f"plain EM did not reach tol {tol} in {max_iter} steps")
-        point, status, _ = estimators._npmle_finish(c.t, c.s_obs, penalized, w[0], pis[0],
+        point, status, _ = estimators._npmle_finish(t_units, len(y), penalized, w[0], pis[0],
                                                     ll[0], it, 0.0, True)
         assert status == "ok"
         return point
 
     @pytest.mark.parametrize("method", ["unpmle", "pnpmle"])
     def test_point_matches_plain_em_fixed_point(self, method, counts):
-        point, status, _ = point_estimate(counts, method)
+        point, status, _ = fit_one(counts, method)
         assert status == "ok"
         assert point == pytest.approx(self.plain_em_point(counts, method == "pnpmle"), rel=1e-4)
 
@@ -349,7 +360,7 @@ class TestSquaremEM:
             return out
 
         monkeypatch.setattr(estimators, "_em_map", recording)
-        _, status, diagnostics = point_estimate(counts, method)
+        _, status, diagnostics = fit_one(counts, method)
         assert status == "ok" and diagnostics["iterations"] == len(objectives)
         # A fit alone evaluates the map three times a cycle; the first
         # evaluation of each cycle is at the point the last cycle kept.
@@ -357,7 +368,7 @@ class TestSquaremEM:
         assert len(objectives) % 3 == 1 and np.all(np.diff(starts) >= 0)
 
     def test_pnpmle_converges_where_plain_em_did_not(self):
-        _, status, diagnostics = point_estimate(heavy_tailed_counts(*self.CASES["wide-100"]),
+        _, status, diagnostics = fit_one(heavy_tailed_counts(*self.CASES["wide-100"]),
                                                 "pnpmle")
         assert status == "ok" and diagnostics["iterations"] < EMConfig().max_iter
 
@@ -397,10 +408,10 @@ class TestEMKernel:
         assert (got[x < estimators._EXP_CUT] == 0.0).all() and got[0, 0, 1] > 0
 
     def test_nan_support_point_makes_a_nonfinite_row(self):
-        c = mkcounts(25, {1: 4, 2: 3, 5: 2})
+        f = {1: 4, 2: 3, 5: 2}
         ks, fks = np.ascontiguousarray(
-            np.array([sorted(c.f.items())] * 2, dtype=float).transpose(2, 0, 1))
-        t, data, w, pis = estimators._em_start(np.full(2, c.t), ks, fks, False, EMConfig())
+            np.array([sorted(f.items())] * 2, dtype=float).transpose(2, 0, 1))
+        t, data, w, pis = estimators._em_start(np.full(2, 25), ks, fks, False, EMConfig())
         pis[1, 7] = np.nan
         with np.errstate(invalid="ignore"):
             _, _, obj, ll = estimators._em_map(t, data, w, pis)
@@ -442,11 +453,11 @@ class TestEMKernel:
 class TestDegenerateContract:
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError, match="unknown"):
-            point_estimate(BASE, "chao3")
+            fit_one(BASE, "chao3")
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_single_unit_fails_cleanly(self, method):
-        point, status, diagnostics = point_estimate(mkcounts(1, {1: 3}), method)
+        point, status, diagnostics = fit_one(mkcounts(1, {1: 3}), method)
         assert status == "failed" and "reason" in diagnostics
 
     @pytest.mark.parametrize("method", ALL_METHODS)
@@ -456,34 +467,63 @@ class TestDegenerateContract:
         assert res.status == "failed"
         assert math.isnan(res.point)
 
+    def test_log_with_no_observed_element(self):
+        """Five units that cover nothing: an empty Y through every method and
+        its interval.  The closed forms give 0.0, the rest fail, and nothing
+        raises."""
+        boot = {"ci": "unit-bootstrap-percentile", "bootstrap_resamples": 50,
+                "bootstrap_failed": 0}
+        no_infrequent = ("degenerate-fallback", {"reason": "no infrequent elements", **boot})
+        zero = {
+            "chao2": ("ok", {"form": "no-singletons", **boot}),
+            "chao2_bc": ("ok", {"ci": "analytic-normal-truncated", "variance": 0.0}),
+            "ichao2": ("ok", {"f4_substituted": True, **boot}),
+            "jk1": ("ok", boot),
+            "jk2": ("ok", boot),
+            "ice": no_infrequent,
+            "ice1": no_infrequent,
+            "bootstrap": ("ok", boot),
+        }
+        failed = {
+            "zelterman": "lambda undefined (f1 or f2 is zero)",
+            "chao_bunge": "no incidences",
+            "unpmle": "no observed elements",
+            "pnpmle": "no observed elements",
+        }
+        expected = [EstimateWithCI(m, 5, 0.0, 0.0, 0.0, *zero[m]) if m in zero
+                    else estimators._failed(m, 5, failed[m]) for m in ALL_METHODS]
+        matrix = build_incidence_matrix([frozenset()] * 5)
+        assert matrix.w.shape == (0, 5)
+        assert repr(estimate_all(matrix, seed=3, boot_b=50)) == repr(expected)
+
     def test_zelterman_needs_f1_and_f2(self):
-        _, status, _ = point_estimate(mkcounts(10, {2: 4}), "zelterman")
+        _, status, _ = fit_one(mkcounts(10, {2: 4}), "zelterman")
         assert status == "failed"
-        _, status, _ = point_estimate(mkcounts(10, {1: 4}), "zelterman")
+        _, status, _ = fit_one(mkcounts(10, {1: 4}), "zelterman")
         assert status == "failed"
 
     def test_ichao2_needs_four_units(self):
-        _, status, _ = point_estimate(mkcounts(3, {1: 2, 2: 2}), "ichao2")
+        _, status, _ = fit_one(mkcounts(3, {1: 2, 2: 2}), "ichao2")
         assert status == "failed"
 
     def test_chao_bunge_theta_at_least_one_fails(self):
-        _, status, diagnostics = point_estimate(mkcounts(10, {1: 10}), "chao_bunge")
+        _, status, diagnostics = fit_one(mkcounts(10, {1: 10}), "chao_bunge")
         assert status == "failed" and "theta" in diagnostics["reason"]
 
     def test_ice_no_infrequent_elements(self):
-        point, status, _ = point_estimate(mkcounts(30, {20: 5}), "ice")
+        point, status, _ = fit_one(mkcounts(30, {20: 5}), "ice")
         assert status == "degenerate-fallback" and point == 5.0
 
     def test_ice_all_singletons_falls_back_to_chao2(self):
         c = mkcounts(10, {1: 5})
-        point, status, diagnostics = point_estimate(c, "ice")
+        point, status, diagnostics = fit_one(c, "ice")
         assert status == "degenerate-fallback"
         assert "chao2" in diagnostics["reason"]
-        assert point == pytest.approx(point_estimate(c, "chao2")[0])
+        assert point == pytest.approx(fit_one(c, "chao2")[0])
 
     def test_em_nonconvergence_reported(self, fixture_matrix):
-        counts = frequency_counts(fixture_matrix)
-        _, status, diagnostics = point_estimate(
+        counts = y_of(fixture_matrix)
+        _, status, diagnostics = fit_one(
             counts, "unpmle", em_config=EMConfig(max_iter=2)
         )
         assert status == "failed" and "converge" in diagnostics["reason"]
@@ -493,7 +533,7 @@ class TestConfidenceIntervals:
     def test_chao2_default_is_truncated_normal(self, fixture_matrix):
         res = estimate(fixture_matrix, "chao2", level=0.90)
         assert res.diagnostics["ci"] == "analytic-normal-truncated"
-        s_obs = frequency_counts(fixture_matrix).s_obs
+        s_obs = len(fixture_matrix.element_ids)
         assert s_obs <= res.ci_low <= res.point <= res.ci_high
         assert res.diagnostics["variance"] > 0
 
@@ -543,10 +583,11 @@ class TestConfidenceIntervals:
 
 
 def scalar_point(c, method):
-    """The closed forms one count vector at a time, as Python scalars: the
+    """The closed forms one (t, Y) pair at a time, as Python scalars: the
     exact oracle of the array forms.  Returns (point, status, diagnostics)."""
-    t, s, f = c.t, c.s_obs, c.f
-    f1, f2, f3, f4 = (c.fk(k) for k in (1, 2, 3, 4))
+    t, y = c
+    s, f = len(y), tally(y)
+    f1, f2, f3, f4 = (f.get(k, 0) for k in (1, 2, 3, 4))
     a = (t - 1) / t
     if t < 2:
         return None, "failed", {"reason": "need at least 2 sampling units"}
@@ -598,7 +639,7 @@ def scalar_point(c, method):
         lam = 2.0 * f2 / f1
         return s / (1.0 - math.exp(-lam)), "ok", {"lambda": lam}
     if method == "bootstrap":
-        return s + sum((1.0 - yi / t) ** t for yi in c.y), "ok", {}
+        return s + sum((1.0 - yi / t) ** t for yi in y.tolist()), "ok", {}
     assert method == "chao_bunge"
     n = sum(k * fk for k, fk in f.items())
     if n == 0:
@@ -628,10 +669,10 @@ def loop_bootstrap_ci(matrix, method, level, seed=0, b=500, point=None):
     distinct = {}
     for _ in range(b):
         y = matrix.w[:, rng.integers(0, t, size=t)].sum(axis=1)
-        y = np.sort(y[y > 0])
+        y = np.sort(y[y > 0]).astype(np.int64)
         key = y.tobytes()
         if key not in distinct:
-            distinct[key] = counts_from_y(t, y)
+            distinct[key] = t, y
         keys.append(key)
     fits = dict(zip(distinct, point_estimates(list(distinct.values()), method,
                                               em_config=estimators.BOOT_EM_CONFIG)))
@@ -704,7 +745,7 @@ class TestBatchedBootstrap:
 
     def test_edge_cases_reach_their_branches(self):
         def scored(case, method):
-            return point_estimate(frequency_counts(from_rows(self.EDGES[case])), method)
+            return fit_one(y_of(from_rows(self.EDGES[case])), method)
 
         assert scored("t2", "ichao2")[1] == scored("t3", "ichao2")[1] == "failed"
         assert "chao2" in scored("singletons", "ice")[2]["reason"]
@@ -744,21 +785,21 @@ class TestBatchedBootstrap:
 
 
 def oracle_estimate(matrix, method, level, seed, b):
-    """``estimate`` one job at a time: ``point_estimate``, then the analytic
+    """``estimate`` one job at a time: ``fit_one``, then the analytic
     interval or the per-resample ``loop_bootstrap_ci``, clamped to hold the
     point."""
-    counts = frequency_counts(matrix)
-    point, status, diagnostics = point_estimate(counts, method)
+    t, y = y_of(matrix)
+    point, status, diagnostics = fit_one((t, y), method)
     if status == "failed":
         return estimators._failed(method, matrix.t, diagnostics.get("reason", "failed"))
     diagnostics = dict(diagnostics)
     if level == 0.0:
         diagnostics["ci"] = "point"
         return EstimateWithCI(method, matrix.t, point, point, point, status, diagnostics)
-    var = (estimators._chao_type_variance(counts, method, point)
+    var = (estimators._chao_type_variance(t, y, method, point)
            if method in estimators.ANALYTIC_CI_METHODS else None)
     if var is not None:
-        lo, hi = estimators._normal_ci(point, counts.s_obs, var, level)
+        lo, hi = estimators._normal_ci(point, len(y), var, level)
         diagnostics["ci"] = "analytic-normal-truncated"
         diagnostics["variance"] = var
     else:
@@ -806,13 +847,13 @@ frequency_data = st.integers(2, 40).flatmap(lambda t: st.tuples(st.just(t), freq
 
 
 def padded_y(rows):
-    """The incidence frequencies of count vectors as one int64 array, each
-    row led by 0s (no element) as the bootstrap's sorted rows are."""
-    width = max(c.s_obs for c in rows)
-    y = np.zeros((len(rows), width), dtype=np.int64)
-    for i, c in enumerate(rows):
-        y[i, width - c.s_obs:] = c.y
-    return y
+    """The Y of (t, Y) pairs as one int64 array, each row led by 0s (no
+    element) as the bootstrap's sorted rows are."""
+    width = max(len(y) for _, y in rows)
+    padded = np.zeros((len(rows), width), dtype=np.int64)
+    for i, (_, y) in enumerate(rows):
+        padded[i, width - len(y):] = y
+    return padded
 
 
 def assert_same_result(result, expected):
@@ -839,10 +880,10 @@ class TestArrayClosedForms:
     def test_against_reference_transcriptions(self, data, method):
         t, f = data
         counts = mkcounts(t, f)
-        point, status, _ = point_estimate(counts, method)
+        point, status, _ = fit_one(counts, method)
         if status == "failed" or (method == "chao_bunge" and status != "ok"):
             return  # the references define no failure or clamp
-        expected = (ref.ref_bootstrap(t, counts.y) if method == "bootstrap"
+        expected = (ref.ref_bootstrap(t, counts[1].tolist()) if method == "bootstrap"
                     else self.REFERENCES[method](t, f))
         # Criterion 5's tolerance for the closed forms.
         assert point == pytest.approx(expected, rel=1e-6)
@@ -874,7 +915,7 @@ class TestArrayClosedForms:
         rows = [mkcounts(t, f) for f in fs]
         scored = estimators._closed_form(estimators._rows(t, padded_y(rows)), method)
         for i, counts in enumerate(rows):
-            assert_same_result(estimators._row(scored, i), point_estimate(counts, method))
+            assert_same_result(estimators._row(scored, i), fit_one(counts, method))
 
 
 @given(

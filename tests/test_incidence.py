@@ -1,4 +1,4 @@
-"""Incidence matrix, frequency counts, rebinning, and dense-CSV interchange."""
+"""Incidence matrix, incidence frequencies, rebinning, and dense-CSV interchange."""
 
 import logging
 
@@ -11,12 +11,12 @@ from reachbench.evaluation import BernoulliProductModel, simulate_incidence
 from reachbench.incidence import (
     IncidenceError,
     build_incidence_matrix,
-    frequency_counts,
     from_dense_csv,
     head,
     rebin,
     to_dense_csv,
 )
+from test_estimators import tally, y_of
 
 UNITS = [
     frozenset({0, 1, 4}),
@@ -43,23 +43,26 @@ class TestBuild:
             build_incidence_matrix([])
 
 
-class TestFrequencyCounts:
+class TestIncidenceFrequencies:
+    """The incidence frequencies Y that the estimators read of a matrix."""
+
     def test_hand_worked_counts(self):
-        counts = frequency_counts(build_incidence_matrix(UNITS))
-        assert counts.t == 5
-        assert counts.y == (2, 2, 2, 2)
-        assert counts.f == {2: 4}
-        assert counts.s_obs == 4
-        assert counts.total_incidence == 8
+        t, y = y_of(build_incidence_matrix(UNITS))
+        assert t == 5
+        assert y.tolist() == [2, 2, 2, 2]
+        assert tally(y) == {2: 4}
+        assert len(y) == 4
+        assert y.sum() == 8
 
     def test_counts_are_recount_of_rows(self, fixture_matrix):
-        counts = frequency_counts(fixture_matrix)
+        _, counts_y = y_of(fixture_matrix)
         # Independent recount straight from the sparse rows.
         y = sorted(len(cols) for cols in fixture_matrix.rows.values())
-        assert sorted(counts.y) == y
+        assert sorted(counts_y.tolist()) == y
+        f = tally(counts_y)
         for k in set(y):
-            assert counts.fk(k) == y.count(k)
-        assert counts.s_obs == len(y)
+            assert f[k] == y.count(k)
+        assert len(counts_y) == len(y)
 
 
 class TestRebin:
@@ -104,18 +107,18 @@ class TestRebin:
         # An element covered only in the dropped trailing units keeps no row.
         assert got.element_ids == tuple(sorted(frozenset().union(*expected)))
         y = [sum(1 for u in expected if i in u) for i in got.element_ids]
-        counts = frequency_counts(got)
-        assert counts.y == tuple(y)
-        assert counts.f == {k: y.count(k) for k in set(y)}
-        assert counts.s_obs == len(y)
+        _, got_y = y_of(got)
+        assert got_y.tolist() == y
+        assert tally(got_y) == {k: y.count(k) for k in set(y)}
+        assert len(got_y) == len(y)
 
     def test_rebin_preserves_or_shrinks_richness(self, fixture_matrix):
-        base = frequency_counts(fixture_matrix).s_obs
+        base = len(y_of(fixture_matrix)[1])
         for m in (2, 3, 5):
-            merged = frequency_counts(rebin(fixture_matrix, m))
-            assert merged.s_obs <= base
+            merged = y_of(rebin(fixture_matrix, m))
+            assert len(merged[1]) <= base
         # Divisible merge loses no elements.
-        assert frequency_counts(rebin(fixture_matrix, 5)).s_obs == base
+        assert len(y_of(rebin(fixture_matrix, 5))[1]) == base
 
 
 class TestHead:
