@@ -32,7 +32,6 @@ from .fuzzer import (
     CampaignConfig,
     CampaignLog,
     MutationPolicy,
-    SeedCorpus,
     generate_seed_corpus,
     run_campaign,
 )

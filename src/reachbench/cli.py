@@ -21,7 +21,8 @@ The campaigns (one job per program and trial) and the estimate batches
 CPUs, jobs)`` workers; see ``_pool_results``.  Results are taken in job
 order, so the artifacts are byte-identical whatever the worker count.
 Stage 1 (generate, compile, export) stays serial, and ``run`` writes each
-program's files before it starts the next.
+program's files before it starts the next.  A campaign's worker sends back
+its ``CampaignLog``.  Every units file is written from an ``IncidenceMatrix``.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure, 3 partial: some
 of the units (trials of ``fuzz``, programs of ``run``) are done.
@@ -62,6 +63,7 @@ from .evaluation import (SensitivityVerdict, check_alpha, check_unit_sizes, rq1_
                          sensitivity_analysis)
 from .fuzzer import (
     CampaignConfig,
+    CampaignLog,
     check_count,
     generate_seed_corpus,
     parse_units,
@@ -70,7 +72,7 @@ from .fuzzer import (
 )
 from .grammar import Grammar, parse_grammar, serialize_grammar
 from .grammargen import GenConfig, generate_grammar, parse_label, serialize_label
-from .incidence import IncidenceMatrix, build_incidence_matrix, from_dense_csv, head, rebin
+from .incidence import build_incidence_matrix, from_dense_csv, head, rebin
 
 log = logging.getLogger(__name__)
 
@@ -206,6 +208,8 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         self.campaign.validate()
         check_unit_sizes(self.unit_sizes, self.campaign.unit_size_r)
+        if len(set(self.unit_sizes)) < len(self.unit_sizes):  # a size against itself
+            raise ValueError(f"unit sizes repeat a size: {list(self.unit_sizes)!r}")
         t_max = self.campaign.budget_n // self.campaign.unit_size_r  # every campaign's
         for r in self.unit_sizes:
             if r // self.campaign.unit_size_r > t_max:
@@ -245,22 +249,10 @@ class CampaignJob(NamedTuple):
     config: CampaignConfig
 
 
-class CampaignResult(NamedTuple):
-    units_text: str  # serialize_units of the campaign's unit coverage
-    matrix: IncidenceMatrix
-    executions_per_second: float  # timed inside the worker
-    final_corpus_size: int
-    parser_runs: int
-
-
-def _fuzz_campaign(job: CampaignJob) -> CampaignResult:
-    """Seed corpus, campaign and incidence matrix of one (program, trial)."""
+def _fuzz_campaign(job: CampaignJob) -> CampaignLog:
+    """Seed corpus and campaign of one (program, trial)."""
     corpus = generate_seed_corpus(job.grammar, job.n_seeds, job.max_depth, job.corpus_seed)
-    clog = run_campaign(job.program, corpus, job.config)
-    return CampaignResult(serialize_units(clog.unit_coverage),
-                          build_incidence_matrix(clog.unit_coverage),
-                          clog.executions_per_second, clog.final_corpus_size,
-                          clog.parser_runs)
+    return run_campaign(job.program, corpus, job.config)
 
 
 _worker_task = (None, ())  # (function, jobs), set in each pool worker by _adopt_task
@@ -420,8 +412,8 @@ def _fuzz(cfg: ExperimentConfig, programs):
                 except Exception:
                     log.exception("campaign failed: %s trial %d", out, k)
                     continue
-                _write(out / f"trial{k:03d}.units.txt", res.units_text)
-                trials[k] = job, res._replace(units_text=None)  # written: let it go
+                _write(out / f"trial{k:03d}.units.txt", serialize_units(res.matrix))
+                trials[k] = job, res
             yield trials
 
 
@@ -483,7 +475,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_rebin(args) -> int:
     matrix = rebin(build_incidence_matrix(parse_units(_read(args.incidence))), args.merge)
-    _write(args.out, serialize_units(matrix.units()))
+    _write(args.out, serialize_units(matrix))
     return EXIT_OK
 
 
@@ -521,6 +513,8 @@ def cmd_sensitivity(args) -> int:
         log.error("no *.units.txt logs in %s", args.logs)
         return EXIT_CONFIG
     unit_sizes = [int(s) for s in args.unit_sizes.split(",")]
+    if len(set(unit_sizes)) < len(unit_sizes):  # a size against itself, as in run
+        raise ValueError(f"unit sizes repeat a size: {unit_sizes!r}")
     methods = ALL_METHODS if args.methods == "all" else tuple(args.methods.split(","))
     _write_verdicts(args.out, sensitivity_analysis(
         trials, unit_sizes, methods, alpha=args.alpha, level=args.level,
@@ -532,7 +526,7 @@ def cmd_import_incidence(args) -> int:
     text = _read(args.input)
     matrix = (build_incidence_matrix(parse_units(text)) if args.schema == "sparse"
               else from_dense_csv(text))
-    _write(args.out, serialize_units(matrix.units()))
+    _write(args.out, serialize_units(matrix))
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import EstimateWithCI, estimate_many
-from .incidence import IncidenceMatrix, rebin
+from .incidence import IncidenceMatrix, _observed, rebin
 from .stattests import StatTestError, mann_whitney_u, shapiro_wilk, welch_t_test
 
 
@@ -56,10 +56,7 @@ def simulate_incidence(model: BernoulliProductModel, rng_seed: int) -> Incidence
     model.validate()
     rng = np.random.default_rng(rng_seed)
     pi = np.asarray(model.pi)[:, None]
-    w = rng.random((model.s, model.t)) < pi
-    seen = w.any(axis=1)
-    return IncidenceMatrix(t=model.t, element_ids=tuple(np.flatnonzero(seen).tolist()),
-                           w=w[seen].view(np.uint8))
+    return _observed(model.t, range(model.s), rng.random((model.s, model.t)) < pi)
 
 
 def mean_bias(estimates, true_s: float) -> float:

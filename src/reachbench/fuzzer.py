@@ -8,7 +8,7 @@ executions, which keeps the incidence data independent of machine load and
 makes every trial reproducible from its seed.  A mutant that agrees with its
 corpus entry on every byte the entry's parse read (up to and including its
 read horizon) has the entry's coverage, which the loop reuses instead of
-parsing the mutant again.
+parsing the mutant again.  A campaign's log holds its ``IncidenceMatrix``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ import numbers
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 
-from .codegen import ParserProgram, covered_ids, execute_parser
+from .codegen import ParserProgram, execute_parser
 from .grammar import Grammar
+from .incidence import ID_MAX, ID_MIN, IncidenceMatrix, from_masks
 
 log = logging.getLogger(__name__)
 
@@ -33,12 +35,6 @@ def check_count(name, value):
     """Reject a count setting that is not an integer >= 1."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise CampaignError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SeedCorpus:
-    inputs: tuple  # of bytes
-    provenance: tuple = ()  # per-seed derivation metadata strings
 
 
 @dataclass(frozen=True)
@@ -74,22 +70,10 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CampaignLog:
-    unit_coverage: tuple  # of frozenset, one per sampling unit
-    discovery_curve: tuple  # cumulative distinct-element count per unit
+    matrix: IncidenceMatrix  # one unit per unit_size_r consecutive executions
     executions_per_second: float  # budget inputs per second; a reused parse counts
     final_corpus_size: int
-    unit_size_r: int
     parser_runs: int  # execute_parser calls, the initial corpus entries' included
-
-    @property
-    def t(self) -> int:
-        return len(self.unit_coverage)
-
-    def discovered(self) -> frozenset:
-        out = set()
-        for unit in self.unit_coverage:
-            out |= unit
-        return frozenset(out)
 
 
 def _min_cost(grammar: Grammar):
@@ -112,7 +96,7 @@ def _min_cost(grammar: Grammar):
 def generate_seed_corpus(
     grammar: Grammar, n_seeds: int, max_depth: int, rng_seed: int,
     max_len: int = 256,
-) -> SeedCorpus:
+) -> tuple:
     """Valid inputs from random leftmost derivations, depth- and size-bounded.
 
     Beyond ``max_depth``, or once the emitted output plus the pending
@@ -132,10 +116,8 @@ def generate_seed_corpus(
         return (c, sum(1 for s in rule.rhs if isinstance(s, str)))
 
     seeds = []
-    prov = []
     for i in range(n_seeds):
         out = bytearray()
-        choices = []
         stack = [(grammar.start, 0)]
         while stack:
             sym, depth = stack.pop()
@@ -147,11 +129,9 @@ def generate_seed_corpus(
                 rule = min(rules, key=rule_cost)
             else:
                 rule = rules[rng.randrange(len(rules))]
-            choices.append(rule.rule_id)
             stack.extend((s, depth + 1) for s in reversed(rule.rhs))
         seeds.append(bytes(out))
-        prov.append("rules:" + ",".join(map(str, choices)))
-    return SeedCorpus(tuple(seeds), tuple(prov))
+    return tuple(seeds)
 
 
 def mutate_input(data: bytes, policy: MutationPolicy, rng: random.Random, corpus=()) -> bytes:
@@ -182,12 +162,13 @@ def mutate_input(data: bytes, policy: MutationPolicy, rng: random.Random, corpus
     return bytes(buf[: policy.max_len])
 
 
-def run_campaign(program: ParserProgram, corpus: SeedCorpus, config: CampaignConfig) -> CampaignLog:
-    """Evaluate exactly budget_n inputs, logging coverage per sampling unit.
+def run_campaign(program: ParserProgram, corpus, config: CampaignConfig) -> CampaignLog:
+    """Evaluate exactly budget_n inputs, from the seed inputs ``corpus`` on,
+    logging coverage per sampling unit.
 
     Coverage-increasing inputs join the corpus.  Fully deterministic per
     ``config.trial_seed``.  Coverage stays in the executor's int mask form
-    until each unit is decoded once at the end.
+    until the units' masks are decoded into W at the end.
 
     Each corpus entry keeps the mask of its parse, its read horizon
     h = ``consumed`` and the bytes ``entry[:h + 1]`` that its parse read.  A
@@ -224,12 +205,11 @@ def run_campaign(program: ParserProgram, corpus: SeedCorpus, config: CampaignCon
         return res.mask, res.consumed + 1, data[:res.consumed + 1]
 
     t0 = time.perf_counter()
-    pool = list(corpus.inputs) or [b""]
+    pool = list(corpus) or [b""]
     parses = [parse(entry) for entry in pool]  # (mask, h + 1, entry[:h + 1])
     parser_runs = len(pool)
     seen = 0
     units = []
-    curve = []
     unit_cov = 0
     for i in range(budget):
         j = rng.randrange(len(pool))
@@ -246,15 +226,12 @@ def run_campaign(program: ParserProgram, corpus: SeedCorpus, config: CampaignCon
             parses.append(parsed)
         if (i + 1) % r == 0:
             units.append(unit_cov)
-            curve.append(seen.bit_count())
             unit_cov = 0
     elapsed = time.perf_counter() - t0
     return CampaignLog(
-        unit_coverage=tuple(map(covered_ids, units)),
-        discovery_curve=tuple(curve),
+        matrix=from_masks(units, program.n_elements),
         executions_per_second=budget / elapsed if elapsed > 0 else float("inf"),
         final_corpus_size=len(pool),
-        unit_size_r=r,
         parser_runs=parser_runs,
     )
 
@@ -267,11 +244,12 @@ def run_campaign(program: ParserProgram, corpus: SeedCorpus, config: CampaignCon
 #   unit <j>: <id> <id> ...      (sorted ids; a unit line may list none)
 # ---------------------------------------------------------------------------
 
-def serialize_units(units) -> str:
-    lines = ["incidence v1", f"t {len(units)}"]
-    for j, unit in enumerate(units):
-        ids = " ".join(str(i) for i in sorted(unit))
-        lines.append(f"unit {j}: {ids}".rstrip())
+def serialize_units(matrix: IncidenceMatrix) -> str:
+    """The stream of ``matrix``: unit j lists the ids of W's column j."""
+    ids = list(map(str, matrix.element_ids))
+    lines = ["incidence v1", f"t {matrix.t}"]
+    for j, col in enumerate(matrix.w.T):
+        lines.append(" ".join([f"unit {j}:", *compress(ids, col.tolist())]))
     return "\n".join(lines) + "\n"
 
 
@@ -302,9 +280,12 @@ def parse_units(text: str):
             if value != len(units):
                 raise CampaignError(f"line {lineno}: unit records out of order")
             try:
-                units.append(frozenset(int(p) for p in parts[2:]))
+                unit = frozenset(int(p) for p in parts[2:])
             except ValueError as exc:
                 raise CampaignError(f"line {lineno}: non-integer element id") from exc
+            if unit and not (ID_MIN <= min(unit) and max(unit) <= ID_MAX):
+                raise CampaignError(f"line {lineno}: element id outside int64")
+            units.append(unit)
     if t is None or t != len(units):
         raise CampaignError("unit count does not match the t record")
     return units

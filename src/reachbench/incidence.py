@@ -5,8 +5,9 @@ ascending ids of the observed elements and one 0/1 ``uint8`` array W with a
 row per element and a column per unit.  The estimators read only its t and
 its incidence frequencies Y, the row sums of W (one per observed element,
 all >= 1); the frequency counts f_k are a tally of Y, and the observed
-richness is its length.  Merging consecutive units by logical OR
-(rebinning) simulates coarser sampling-unit sizes on the same campaign.
+richness is its length.  A campaign decodes its W from its units' coverage
+masks.  Merging consecutive units by logical OR (rebinning) simulates
+coarser sampling-unit sizes on the same campaign.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 log = logging.getLogger(__name__)
+ID_MIN, ID_MAX = -2 ** 63, 2 ** 63 - 1  # the element ids that an int64 holds
 
 
 class IncidenceError(ValueError):
@@ -44,11 +46,6 @@ class IncidenceMatrix:
         return MappingProxyType({i: tuple(np.flatnonzero(row).tolist())
                                  for i, row in zip(self.element_ids, self.w)})
 
-    def units(self):
-        """The per-unit coverage sets."""
-        ids = np.array(self.element_ids, dtype=np.int64)
-        return [frozenset(ids[np.flatnonzero(col)].tolist()) for col in self.w.T]
-
 
 def build_incidence_matrix(units) -> IncidenceMatrix:
     """W from a sequence of per-unit coverage sets; element order is ascending id."""
@@ -61,6 +58,14 @@ def build_incidence_matrix(units) -> IncidenceMatrix:
     w = np.zeros((len(ids), len(units)), dtype=np.uint8)
     w[row, np.repeat(np.arange(len(units)), sizes)] = 1
     return IncidenceMatrix(t=len(units), element_ids=tuple(ids.tolist()), w=w)
+
+
+def from_masks(masks, n_elements: int) -> IncidenceMatrix:
+    """W from a list of one coverage mask per unit.  A mask's n_elements
+    little-endian bytes are a 0/1 byte per element (``codegen.covered_ids``),
+    so the masks' bytes, one unit after another, are W transposed."""
+    cols = np.frombuffer(b"".join(m.to_bytes(n_elements, "little") for m in masks), np.uint8)
+    return _observed(len(masks), range(n_elements), cols.reshape(len(masks), n_elements).T)
 
 
 def rebin(matrix: IncidenceMatrix, m: int) -> IncidenceMatrix:
@@ -131,6 +136,8 @@ def from_dense_csv(text: str) -> IncidenceMatrix:
             el = int(cells[0])
         except ValueError as exc:
             raise IncidenceError(f"line {lineno}: bad element id {cells[0]!r}") from exc
+        if not ID_MIN <= el <= ID_MAX:
+            raise IncidenceError(f"line {lineno}: element id {el} is outside int64")
         for j, cell in enumerate(cells[1:]):
             if cell not in ("0", "1"):
                 raise IncidenceError(
@@ -139,6 +146,5 @@ def from_dense_csv(text: str) -> IncidenceMatrix:
         if el in rows:
             raise IncidenceError(f"line {lineno}: duplicate element id {el}")
         rows[el] = [cell == "1" for cell in cells[1:]]
-    ids = sorted(el for el, row in rows.items() if any(row))
-    w = np.array([rows[i] for i in ids], dtype=np.uint8).reshape(len(ids), t)
-    return IncidenceMatrix(t=t, element_ids=tuple(ids), w=w)
+    ids = sorted(rows)
+    return _observed(t, ids, np.array([rows[i] for i in ids], dtype=bool).reshape(len(ids), t))

@@ -8,6 +8,7 @@ computes by construction, so agreement is meaningful.
 """
 
 import itertools
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,12 @@ def cfg_cyclomatic(program):
         edges += len(local_edges)
         nodes += len(node_ids)
     return edges - nodes + 2 * len(program.procedures)
+
+
+def units_of(matrix):
+    """The per-unit id sets of an ``IncidenceMatrix``: unit j holds the ids of
+    W's column j."""
+    return [frozenset(compress(matrix.element_ids, col)) for col in matrix.w.T.tolist()]
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ import pytest
 import scipy.stats
 
 import reference_estimators as ref
-from conftest import exhaustive_coverage
+from conftest import exhaustive_coverage, units_of
 from reachbench.cli import EXIT_OK, run_experiment
 from reachbench.codegen import (
     _c_name,
@@ -86,7 +86,7 @@ def test_criterion_02_ground_truth_sound_medium_scale():
             program, corpus,
             CampaignConfig(trial_seed=i, budget_n=100_000, unit_size_r=1000),
         )
-        covered = clog.discovered()
+        covered = set(clog.matrix.element_ids)
         assert covered <= program.ground_truth, (
             f"grammar {i}: out-of-truth elements "
             f"{sorted(covered - program.ground_truth)}"
@@ -152,8 +152,7 @@ def test_criterion_03_codegen_differential(tmp_path):
         corpus = generate_seed_corpus(grammar, 20, 20, pi)
         policy = MutationPolicy()
         inputs = [
-            mutate_input(corpus.inputs[rng.randrange(len(corpus.inputs))],
-                         policy, rng, corpus.inputs)
+            mutate_input(corpus[rng.randrange(len(corpus))], policy, rng, corpus)
             for _ in range(10_000)
         ]
         blob = b"".join(struct.pack(">I", len(d)) + d for d in inputs)
@@ -283,10 +282,10 @@ def test_criterion_08_rebinning_correctness():
                 frozenset().union(*units[j * m:(j + 1) * m]) for j in range(t_new)
             ]
             assert merged.t == t_new
-            assert merged.units() == brute
+            assert units_of(merged) == brute
             if t % m == 0:
                 before = {i for u in units for i in u}
-                after = {i for u in merged.units() for i in u}
+                after = {i for u in units_of(merged) for i in u}
                 assert after == before
 
 

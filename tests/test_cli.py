@@ -31,7 +31,7 @@ from reachbench.evaluation import sensitivity_analysis
 from reachbench.fuzzer import CampaignError, parse_units
 from reachbench.incidence import build_incidence_matrix
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, units_of
 
 FIXTURE_LOG = DATA_DIR / "fixture_incidence.txt"
 
@@ -176,10 +176,10 @@ def test_import_incidence_schemas(tmp_path, fixture_matrix):
     rc = main(["import-incidence", "--input", str(dense), "--schema", "dense-csv",
                "--out", str(out)])
     assert rc == EXIT_OK
-    assert parse_units(out.read_text()) == fixture_matrix.units()
+    assert parse_units(out.read_text()) == units_of(fixture_matrix)
 
     sparse = tmp_path / "w.txt"
-    sparse.write_text(serialize_units(fixture_matrix.units()))
+    sparse.write_text(serialize_units(fixture_matrix))
     out2 = tmp_path / "out2.txt"
     rc = main(["import-incidence", "--input", str(sparse), "--out", str(out2)])
     assert rc == EXIT_OK
@@ -205,6 +205,29 @@ class TestExitCodes:
         rc = main(["estimate", "--incidence", str(bad),
                    "--out", str(tmp_path / "o.csv")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--incidence"],
+        ["rebin", "-m", "1", "--incidence"],
+        ["import-incidence", "--input"],
+        ["import-incidence", "--schema", "dense-csv", "--input"],
+        ["sensitivity", "--unit-sizes", "1,2", "--logs"],
+    ], ids=["estimate", "rebin", "import-sparse", "import-dense", "sensitivity"])
+    def test_element_id_outside_int64_is_config_error(self, tmp_path, caplog, command):
+        """An id of 2**63 - 1 is read; one more is rejected with its line."""
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        dense = "dense-csv" in command
+        for el, rc in ((2 ** 63 - 1, EXIT_OK), (2 ** 63, EXIT_CONFIG)):
+            (logs / "trial000.units.txt").write_text(
+                f"element_id,u0,u1\n{el},1,0\n1,1,1\n" if dense
+                else f"incidence v1\nt 2\nunit 0: {el} 1\nunit 1: 1\n")
+            path = logs if command[0] == "sensitivity" else logs / "trial000.units.txt"
+            caplog.clear()
+            assert main([*command, str(path), "--out", str(tmp_path / "o")]) == rc
+        self.assert_one_line_error(caplog, "line 2: element id 9223372036854775808 is "
+                                   "outside int64" if dense else
+                                   "line 3: element id outside int64")
 
     def test_infeasible_generator_config_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -273,7 +296,9 @@ class TestExitCodes:
         (["--unit-sizes", "1,2", "--level", "1.0"], "CI level must lie in [0, 1), got 1.0"),
         (["--unit-sizes", "1,2", "--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
         (["--unit-sizes", "1,2", "--alpha", "1.0"], "alpha must lie in (0, 1), got 1.0"),
-    ], ids=["unit-size-0", "unit-size-negative", "level-1", "alpha-0", "alpha-1"])
+        (["--unit-sizes", "1,2,1"], "unit sizes repeat a size: [1, 2, 1]"),
+    ], ids=["unit-size-0", "unit-size-negative", "level-1", "alpha-0", "alpha-1",
+            "unit-size-repeated"])
     def test_bad_sensitivity_settings_are_config_errors(self, tmp_path, caplog, logs, flags,
                                                         message):
         rc = main(["sensitivity", "--logs", str(logs), *flags, "--methods", "jk1",
@@ -321,6 +346,7 @@ class TestExitCodes:
         # A unit of 20000 executions is two campaigns long.
         ("unit_sizes", [10, 20000], "unit size 20000 merges 2000 units, more than the "
          "campaigns' 1000"),
+        ("unit_sizes", [10, 10], "unit sizes repeat a size: [10, 10]"),
     ])
     def test_bad_run_levels_are_config_errors_before_any_work(self, tmp_path, caplog, key,
                                                               value, message):

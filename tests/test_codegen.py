@@ -198,7 +198,7 @@ class TestGeneratedParser:
             seed=seed, n_nonterminals=5 + seed, alphabet_size=8 + 2 * seed,
             recursion_linear=0.4, n_dead_branches=seed % 3, allow_epsilon=seed % 2 == 1))
         prog = compile_to_parser(g, label)
-        pool = list(generate_seed_corpus(g, 8, 10, seed).inputs)
+        pool = list(generate_seed_corpus(g, 8, 10, seed))
         rng = random.Random(seed)
         for i in range(400):
             if i % 4 == 0:
@@ -306,13 +306,10 @@ class TestCExport:
         rng = random.Random(7)
         policy = MutationPolicy()
         for i in range(300):
-            if i < len(corpus.inputs):
-                data = corpus.inputs[i]
+            if i < len(corpus):
+                data = corpus[i]
             else:
-                data = mutate_input(
-                    corpus.inputs[rng.randrange(len(corpus.inputs))],
-                    policy, rng, corpus.inputs,
-                )
+                data = mutate_input(corpus[rng.randrange(len(corpus))], policy, rng, corpus)
             res = interpret_parser(prog, data)
             c_cov, c_verdict = self._run(binary, data)
             assert c_cov == res.covered
@@ -327,7 +324,7 @@ class TestCExport:
         binary = self._build(prog, tmp_path)
         dead = {el.id for el in prog.elements if el.kind == "dead-guard"}
         corpus = generate_seed_corpus(g, 5, 10, 0)
-        for data in corpus.inputs:
+        for data in corpus:
             c_cov, _ = self._run(binary, data)
             assert c_cov.isdisjoint(dead)
 

@@ -19,7 +19,9 @@ from reachbench.fuzzer import (
     serialize_units,
 )
 from reachbench.grammargen import GenConfig, generate_grammar
+from reachbench.incidence import build_incidence_matrix
 
+from conftest import units_of
 from test_grammar import mk
 
 
@@ -29,30 +31,25 @@ def small_program():
     return g, compile_to_parser(g, label)
 
 
-class TestSeedCorpus:
+class TestSeedInputs:
     def test_seeds_are_valid_sentences(self, small_program):
         g, prog = small_program
         corpus = generate_seed_corpus(g, 20, 15, 3)
-        assert len(corpus.inputs) == 20
-        for s in corpus.inputs:
+        assert len(corpus) == 20
+        for s in corpus:
             assert execute_parser(prog, s).verdict == "accept"
 
     def test_deterministic(self, small_program):
         g, _ = small_program
         a = generate_seed_corpus(g, 10, 15, 5)
         b = generate_seed_corpus(g, 10, 15, 5)
-        assert a.inputs == b.inputs and a.provenance == b.provenance
+        assert a == b
 
     def test_size_bounded(self, small_program):
         g, _ = small_program
         corpus = generate_seed_corpus(g, 30, 40, 1, max_len=64)
         # Bounded by max_len plus the minimal completion of the pending form.
-        assert all(len(s) < 256 for s in corpus.inputs)
-
-    def test_provenance_records_rule_choices(self, small_program):
-        g, _ = small_program
-        corpus = generate_seed_corpus(g, 3, 15, 5)
-        assert all(p.startswith("rules:") for p in corpus.provenance)
+        assert all(len(s) < 256 for s in corpus)
 
 
 class TestMutation:
@@ -94,13 +91,10 @@ class TestCampaign:
         corpus = generate_seed_corpus(g, 5, 15, 1)
         log = run_campaign(prog, corpus, CampaignConfig(trial_seed=1, budget_n=100,
                                                         unit_size_r=10))
-        assert log.t == 10
-        union = set()
-        for unit in log.unit_coverage:
-            union |= unit
-        assert union == set(log.discovered())
-        assert log.discovery_curve[-1] == len(union)
-        assert all(a <= b for a, b in zip(log.discovery_curve, log.discovery_curve[1:]))
+        m = log.matrix
+        assert m.t == 10 and m.w.shape == (len(m.element_ids), 10)
+        assert list(m.element_ids) == sorted(set(m.element_ids))
+        assert m.w.any(axis=1).all()  # every listed element was covered
 
     def test_same_trial_seed_identical_log(self, small_program):
         g, prog = small_program
@@ -108,17 +102,15 @@ class TestCampaign:
         cfg = CampaignConfig(trial_seed=42, budget_n=500, unit_size_r=50)
         a = run_campaign(prog, corpus, cfg)
         b = run_campaign(prog, corpus, cfg)
-        assert a.unit_coverage == b.unit_coverage
+        assert a.matrix == b.matrix
         assert a.final_corpus_size == b.final_corpus_size
 
     def test_two_element_program_fully_discovered(self):
         g = mk(["S"], [("S", [97])], "S")
         prog = compile_to_parser(g)
         corpus_cfg = CampaignConfig(trial_seed=0, budget_n=10_000, unit_size_r=100)
-        from reachbench.fuzzer import SeedCorpus
-
-        log = run_campaign(prog, SeedCorpus((b"a",)), corpus_cfg)
-        assert log.discovered() == prog.ground_truth
+        log = run_campaign(prog, (b"a",), corpus_cfg)
+        assert set(log.matrix.element_ids) == prog.ground_truth
         assert len(prog.ground_truth) == 2
 
     def test_covered_subset_of_elements(self, small_program):
@@ -126,14 +118,14 @@ class TestCampaign:
         corpus = generate_seed_corpus(g, 5, 15, 1)
         log = run_campaign(prog, corpus, CampaignConfig(trial_seed=3, budget_n=1000,
                                                         unit_size_r=100))
-        assert log.discovered() <= {el.id for el in prog.elements}
+        assert set(log.matrix.element_ids) <= {el.id for el in prog.elements}
 
     def test_budget_truncation_warns(self, small_program, caplog):
         g, prog = small_program
         corpus = generate_seed_corpus(g, 5, 15, 1)
         log = run_campaign(prog, corpus, CampaignConfig(trial_seed=1, budget_n=105,
                                                         unit_size_r=10))
-        assert log.t == 10
+        assert log.matrix.t == 10
 
     @pytest.mark.parametrize("seed, alphabet, step_budget", [
         pytest.param(3, 24, 1_000_000, id="3"),
@@ -154,8 +146,8 @@ class TestCampaign:
         config = CampaignConfig(trial_seed=seed, budget_n=1500, unit_size_r=30,
                                 step_budget=step_budget)
         rng = random.Random(config.trial_seed)
-        pool = list(corpus.inputs)
-        seen, unit_cov, units, curve = set(), set(), [], []
+        pool = list(corpus)
+        seen, unit_cov, units = set(), set(), []
         for i in range(config.budget_n):
             seed_input = pool[rng.randrange(len(pool))]
             candidate = mutate_input(seed_input, config.policy, rng, pool)
@@ -166,14 +158,12 @@ class TestCampaign:
                 pool.append(candidate)
             if (i + 1) % config.unit_size_r == 0:
                 units.append(frozenset(unit_cov))
-                curve.append(len(seen))
                 unit_cov = set()
         log = run_campaign(prog, corpus, config)
-        assert log.unit_coverage == tuple(units)
-        assert log.discovery_curve == tuple(curve)
+        assert log.matrix == build_incidence_matrix(units)
         assert log.final_corpus_size == len(pool)
         # Some mutants took their corpus entry's coverage without a parse.
-        assert len(corpus.inputs) < log.parser_runs < config.budget_n
+        assert len(corpus) < log.parser_runs < config.budget_n
 
     def test_zero_unit_budget_rejected(self, small_program):
         g, prog = small_program
@@ -210,7 +200,7 @@ class TestReadHorizon:
         well under 1 s."""
         g, prog = generated_program(grammar_seed)
         rng = random.Random(seed)
-        pool = list(generate_seed_corpus(g, 4, 10, seed).inputs) + [noise]
+        pool = list(generate_seed_corpus(g, 4, 10, seed)) + [noise]
         parent = pool[rng.randrange(len(pool))]
         res = execute_parser(prog, parent, step_budget)
         h = res.consumed
@@ -229,7 +219,7 @@ class TestReadHorizon:
 class TestUnitSerialization:
     def test_roundtrip(self):
         units = [frozenset({0, 3, 7}), frozenset(), frozenset({1})]
-        assert parse_units(serialize_units(units)) == units
+        assert parse_units(serialize_units(build_incidence_matrix(units))) == units
 
     def test_header_required(self):
         with pytest.raises(CampaignError):
@@ -244,6 +234,7 @@ class TestUnitSerialization:
         "incidence v1\nt 1\nunit\n",
         "incidence v1\nt x\n",
         "incidence v1\nt 1\nunit x: 3\n",
+        "incidence v1\nt 2\nunit 0: 9223372036854775808 1\nunit 1: 1\n",
     ])
     def test_malformed_record_reports_line(self, text):
         with pytest.raises(CampaignError, match="line"):
@@ -253,8 +244,10 @@ class TestUnitSerialization:
         with pytest.raises(CampaignError):
             parse_units("incidence v1\nt 3\nunit 0: 1\n")
 
-    @given(st.lists(st.frozensets(st.integers(0, 50), max_size=8), min_size=1,
-                    max_size=12))
+    @given(st.lists(st.frozensets(st.integers(0, 50) | st.integers(-2 ** 63, 2 ** 63 - 1),
+                                  max_size=8), min_size=1, max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_property(self, units):
-        assert parse_units(serialize_units(units)) == units
+        """The stream of a matrix gives back its units, empty ones included."""
+        m = build_incidence_matrix(units)
+        assert parse_units(serialize_units(m)) == units_of(m) == units

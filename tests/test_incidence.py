@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachbench.codegen import covered_ids
 from reachbench.evaluation import BernoulliProductModel, simulate_incidence
 from reachbench.incidence import (
     IncidenceError,
     build_incidence_matrix,
     from_dense_csv,
+    from_masks,
     head,
     rebin,
     to_dense_csv,
 )
+from conftest import units_of
 from test_estimators import tally, y_of
 
 UNITS = [
@@ -36,7 +39,7 @@ class TestBuild:
 
     def test_units_roundtrip(self):
         m = build_incidence_matrix(UNITS)
-        assert m.units() == list(UNITS)
+        assert units_of(m) == list(UNITS)
 
     def test_empty_log_rejected(self):
         with pytest.raises(IncidenceError):
@@ -70,7 +73,7 @@ class TestRebin:
         m = rebin(build_incidence_matrix(UNITS), 2)
         # Units (0|1), (2|3); trailing unit 4 dropped.
         assert m.t == 2
-        assert m.units() == [frozenset({0, 1, 4}), frozenset({0, 4, 9})]
+        assert units_of(m) == [frozenset({0, 1, 4}), frozenset({0, 4, 9})]
 
     def test_remainder_drop_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="reachbench.incidence"):
@@ -103,7 +106,7 @@ class TestRebin:
         ]
         got = rebin(build_incidence_matrix(units), m)
         assert got.t == t_new
-        assert got.units() == expected
+        assert units_of(got) == expected
         # An element covered only in the dropped trailing units keeps no row.
         assert got.element_ids == tuple(sorted(frozenset().union(*expected)))
         y = [sum(1 for u in expected if i in u) for i in got.element_ids]
@@ -133,7 +136,14 @@ class TestHead:
 
 def test_every_constructor_matches_build_from_units(fixture_matrix):
     model = BernoulliProductModel(6, (0.5, 0.01, 0.3, 0.9, 0.05, 0.2), 12)
+    # All-zero masks, and element 9 covered only in the last unit.
+    masks = [0, 1 | 1 << 8 * 4, 0, 1 << 8 * 2 | 1 << 8 * 4, 0, 1 << 8 * 9]
+    decoded = from_masks(masks, 10)
+    assert decoded == build_incidence_matrix(map(covered_ids, masks))
+    assert decoded.element_ids == (0, 2, 4, 9)
     made = [
+        decoded,
+        from_masks([0, 0], 3),
         rebin(fixture_matrix, 3),
         rebin(fixture_matrix, 5),
         head(fixture_matrix, 7),
@@ -142,7 +152,7 @@ def test_every_constructor_matches_build_from_units(fixture_matrix):
         from_dense_csv("element_id,u0,u1,u2\n9,0,0,0\n4,0,1,1\n2,1,0,0\n"),
     ]
     for m in made:
-        built = build_incidence_matrix(m.units())
+        built = build_incidence_matrix(units_of(m))
         assert (m.t, m.element_ids, m.rows) == (built.t, built.element_ids, built.rows)
         assert m.w.dtype == np.uint8
         assert set(np.unique(m.w).tolist()) <= {0, 1}
@@ -171,6 +181,7 @@ class TestDenseCsv:
             ("element_id,u0\nx,1\n", "line 2"),
             ("element_id,u0,u1\n3,1,2\n", "column 3"),
             ("element_id,u0\n3,1\n3,0\n", "duplicate"),
+            ("element_id,u0\n9223372036854775808,1\n", "line 2: element id 9223372036854775808"),
         ],
     )
     def test_malformed_inputs_report_position(self, text, fragment):
