@@ -8,9 +8,13 @@ shares its generate stage with ``gen-grammar`` and its fuzz stage with
 ``fuzz``, in which ``fuzz`` is program 0: ``fuzz --seed M`` on a run's
 ``grammars/prog000``, given the run's campaign settings, reproduces its
 campaigns.  Every stage is deterministic: sub-seeds are derived as
-sha256(master, purpose-label, index).  A rerun into the same directory
-skips a program's campaigns and estimates when their stage marker holds
-the digest of the same config and the sha256 that each trial file the
+sha256(master, purpose-label, index).  Program b has one bootstrap seed S_b,
+and every estimate of its trial k, at every checkpoint and unit size, draws
+its resamples from S_b + k, as ``sensitivity --seed S_b`` does; so the
+sensitivity stage takes its base-size estimates from the estimate stage's
+rows of the whole logs instead of making them again.  A rerun into the same
+directory skips a program's campaigns and estimates when their stage marker
+holds the digest of the same config and the sha256 that each trial file the
 stage wrote still has.  A stage that runs first removes the ``trial*``
 files in its directory; ``run`` also removes programs ``n_programs`` and up.
 A failed campaign is logged and the others go on; in ``run`` its program
@@ -59,8 +63,8 @@ from .codegen import (
     export_c_source,
 )
 from .estimators import ALL_METHODS, EstimateWithCI, check_level, check_methods, estimate_many
-from .evaluation import (SensitivityVerdict, check_alpha, check_unit_sizes, rq1_report,
-                         sensitivity_analysis)
+from .evaluation import (SensitivityVerdict, _row_to_estimate, check_alpha, check_unit_sizes,
+                         rq1_report, sensitivity_analysis)
 from .fuzzer import (
     CampaignConfig,
     CampaignLog,
@@ -208,8 +212,6 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         self.campaign.validate()
         check_unit_sizes(self.unit_sizes, self.campaign.unit_size_r)
-        if len(set(self.unit_sizes)) < len(self.unit_sizes):  # a size against itself
-            raise ValueError(f"unit sizes repeat a size: {list(self.unit_sizes)!r}")
         t_max = self.campaign.budget_n // self.campaign.unit_size_r  # every campaign's
         for r in self.unit_sizes:
             if r // self.campaign.unit_size_r > t_max:
@@ -507,14 +509,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    unit_sizes = []
+    for s in args.unit_sizes.split(","):
+        try:
+            unit_sizes.append(int(s))
+        except ValueError:
+            raise ValueError(f"--unit-sizes: {s!r} is not an integer") from None
+    check_unit_sizes(unit_sizes, unit_sizes[0])  # before any log is read
     trials = [build_incidence_matrix(parse_units(_read(p)))
               for p in sorted(Path(args.logs).glob("*.units.txt"))]
     if not trials:
         log.error("no *.units.txt logs in %s", args.logs)
         return EXIT_CONFIG
-    unit_sizes = [int(s) for s in args.unit_sizes.split(",")]
-    if len(set(unit_sizes)) < len(unit_sizes):  # a size against itself, as in run
-        raise ValueError(f"unit sizes repeat a size: {unit_sizes!r}")
     methods = ALL_METHODS if args.methods == "all" else tuple(args.methods.split(","))
     _write_verdicts(args.out, sensitivity_analysis(
         trials, unit_sizes, methods, alpha=args.alpha, level=args.level,
@@ -590,6 +596,11 @@ def _fuzz_stage(cfg: ExperimentConfig, digest: str, programs, idir: Path, manife
     return logs
 
 
+def _bootstrap_seed(master: int, b: int) -> int:
+    """S_b: every estimate of program b's trial k draws from seed S_b + k."""
+    return derive_seed(master, f"sensitivity:{b}")
+
+
 def _estimate_stage(cfg: ExperimentConfig, methods, digest: str, logs, edir: Path,
                     manifest: dict):
     """Stage 3: the estimates at the checkpoints of each program that has
@@ -605,12 +616,11 @@ def _estimate_stage(cfg: ExperimentConfig, methods, digest: str, logs, edir: Pat
         esub = edir / f"prog{b:03d}"
         if trials is None or _stage_done(esub, digest, estimate_files):
             continue
-        jobs = []
+        seed, jobs = _bootstrap_seed(cfg.master_seed, b), []
         for k, trial in enumerate(trials):
             for t_cp in checkpoints:
                 matrix = head(trial, t_cp)
-                seed = derive_seed(cfg.master_seed, f"ci:{b}:{t_cp}", k)
-                jobs += [(matrix, m, seed) for m in methods]
+                jobs += [(matrix, m, seed + k) for m in methods]
         ests = _estimates(jobs, cfg.ci_level, boot_b=cfg.bootstrap_b)
         manifest["estimate_workers"] = _pool_workers(len(set(methods)))
         _drop(esub, "trial*")
@@ -618,6 +628,26 @@ def _estimate_stage(cfg: ExperimentConfig, methods, digest: str, logs, edir: Pat
             _write_estimates(esub / name, ests[k * n_rows:(k + 1) * n_rows])
         _stage_mark(esub, digest, estimate_files)
     return estimate_files
+
+
+def _reusing(trials, esub: Path, estimate_files, seed: int):
+    """The ``batch`` of the sensitivity analysis of ``trials`` at ``seed``:
+    ``_estimates``, but a job on trial k's whole log with seed ``seed + k``
+    is one the estimate stage made, and takes the row it wrote to ``esub``."""
+    made = {}
+    for k, (trial, name) in enumerate(zip(trials, estimate_files)):
+        with open(esub / name, newline="", encoding="utf-8") as fh:
+            for est in map(_row_to_estimate, csv.DictReader(fh)):
+                if est.t == trial.t:
+                    made[id(trial), est.method, seed + k] = est
+
+    def batch(jobs, level, **kw):
+        keys = [(id(matrix), method, s) for matrix, method, s in jobs]
+        fresh = iter(_estimates([job for job, key in zip(jobs, keys) if key not in made],
+                                level, **kw))
+        return [made[key] if key in made else next(fresh) for key in keys]
+
+    return batch
 
 
 def run_experiment(config: dict, out_dir) -> int:
@@ -656,10 +686,11 @@ def run_experiment(config: dict, out_dir) -> int:
     with _timed(stages, "sensitivity"):
         manifest["sensitivity_workers"] = _pool_workers(len(set(methods)))
         for b in done:
+            seed = _bootstrap_seed(master, b)
             _write_verdicts(out / f"verdicts_{names[b]}.csv", sensitivity_analysis(
                 logs[b], cfg.unit_sizes, methods, alpha=cfg.alpha, level=cfg.ci_level,
-                base_r=cfg.campaign.unit_size_r, seed=derive_seed(master, f"sensitivity:{b}"),
-                batch=_estimates, boot_b=cfg.bootstrap_b))
+                base_r=cfg.campaign.unit_size_r, seed=seed, boot_b=cfg.bootstrap_b,
+                batch=_reusing(logs[b], out / "estimates" / names[b], estimate_files, seed)))
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "run_manifest.json":
             manifest["artifacts"][str(path.relative_to(out))] = _sha256_file(path)

@@ -153,8 +153,10 @@ def check_alpha(alpha):
         raise EvaluationError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def check_unit_sizes(unit_sizes, base_r):
-    """Reject unit sizes that rebinning logs of unit size ``base_r`` cannot give."""
+def check_unit_sizes(unit_sizes, base_r, repeats: bool = False):
+    """Reject unit sizes that rebinning logs of unit size ``base_r`` cannot
+    give and, unless ``repeats``, a size given twice, whose verdict would
+    compare a binning with itself."""
     if not isinstance(unit_sizes, (list, tuple)) or len(unit_sizes) < 2:
         raise EvaluationError("need at least two unit sizes")
     if not all(isinstance(r, numbers.Integral) and not isinstance(r, bool)
@@ -165,6 +167,8 @@ def check_unit_sizes(unit_sizes, base_r):
     for r in unit_sizes:
         if r % base_r:
             raise EvaluationError(f"unit size {r} is not a multiple of base {base_r}")
+    if not repeats and len(set(unit_sizes)) < len(unit_sizes):
+        raise EvaluationError(f"unit sizes repeat a size: {list(unit_sizes)!r}")
 
 
 def _is_normal(sample, alpha):
@@ -232,12 +236,13 @@ def sensitivity_analysis(
 
     ``trials`` is a list of one IncidenceMatrix per trial (equal-length
     campaigns); each requested unit size r must be a multiple of ``base_r``
-    and is realized by rebinning the same base logs.  Returns one
-    SensitivityVerdict per (method, unit-size pair).  ``batch`` makes the
-    estimates: ``estimate_many``, or a function with its arguments and
-    results, which gets ``est_kw``.
+    and is realized by rebinning the same base logs; a size may repeat.
+    Trial i's estimates draw their resamples from ``seed + i`` at every
+    size.  Returns one SensitivityVerdict per (method, unit-size pair).
+    ``batch`` makes the estimates: ``estimate_many``, or a function with its
+    arguments and results, which gets ``est_kw``.
     """
-    check_unit_sizes(unit_sizes, base_r)
+    check_unit_sizes(unit_sizes, base_r, repeats=True)
     check_alpha(alpha)
     jobs = []
     for r in unit_sizes:

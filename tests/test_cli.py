@@ -25,8 +25,9 @@ from reachbench.cli import (
     _write_csv,
     derive_seed,
     main,
+    run_experiment,
 )
-from reachbench.estimators import estimate, estimate_all
+from reachbench.estimators import ALL_METHODS, estimate, estimate_all
 from reachbench.evaluation import sensitivity_analysis
 from reachbench.fuzzer import CampaignError, parse_units
 from reachbench.incidence import build_incidence_matrix
@@ -297,11 +298,27 @@ class TestExitCodes:
         (["--unit-sizes", "1,2", "--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
         (["--unit-sizes", "1,2", "--alpha", "1.0"], "alpha must lie in (0, 1), got 1.0"),
         (["--unit-sizes", "1,2,1"], "unit sizes repeat a size: [1, 2, 1]"),
+        (["--unit-sizes", "1,x"], "--unit-sizes: 'x' is not an integer"),
+        (["--unit-sizes", "1,,2"], "--unit-sizes: '' is not an integer"),
     ], ids=["unit-size-0", "unit-size-negative", "level-1", "alpha-0", "alpha-1",
-            "unit-size-repeated"])
+            "unit-size-repeated", "unit-size-not-integer", "unit-size-empty"])
     def test_bad_sensitivity_settings_are_config_errors(self, tmp_path, caplog, logs, flags,
                                                         message):
         rc = main(["sensitivity", "--logs", str(logs), *flags, "--methods", "jk1",
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == EXIT_CONFIG
+        self.assert_one_line_error(caplog, message)
+
+    @pytest.mark.parametrize("sizes,message", [
+        ("1,x", "--unit-sizes: 'x' is not an integer"),
+        ("2,4,2", "unit sizes repeat a size: [2, 4, 2]"),
+    ], ids=["not-integer", "repeated"])
+    def test_unit_sizes_are_checked_before_any_log_is_read(self, tmp_path, caplog, sizes,
+                                                            message):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "trial000.units.txt").write_text("not a units file\n")
+        rc = main(["sensitivity", "--logs", str(logs), "--unit-sizes", sizes,
                    "--out", str(tmp_path / "v.csv")])
         assert rc == EXIT_CONFIG
         self.assert_one_line_error(caplog, message)
@@ -509,10 +526,12 @@ class TestRun:
 
     def test_stage_commands_reproduce_the_run(self, tmp_path):
         """``fuzz`` on a run's program 0, with the run's settings and master
-        seed, gives its campaigns; ``estimate`` with a checkpoint's seed gives
-        the run's estimates at that checkpoint; ``sensitivity`` with the
-        program's seed gives its verdicts, and ``evaluate`` its report rows."""
-        config = dict(TINY_RUN, ci_level=0.0)
+        seed, gives its campaigns; ``estimate`` with seed S_0 + k on trial k's
+        log gives the run's estimates of the whole log; ``sensitivity`` with
+        S_0 gives its verdicts, and ``evaluate`` its report rows.  The run
+        draws as many bootstrap resamples as the commands, and the bootstrap
+        estimator's interval depends on the seed."""
+        config = dict(TINY_RUN, bootstrap_b=500, estimators=["chao2", "jk1", "bootstrap"])
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         run = tmp_path / "run"
@@ -530,9 +549,9 @@ class TestRun:
             assert (tmp_path / "f" / path.name).read_bytes() == path.read_bytes()
         t = campaign["budget_n"] // campaign["unit_size_r"]
         est = tmp_path / "e.csv"
-        assert main(["estimate", "--incidence", str(logs[0]), "--level", "0",
+        assert main(["estimate", "--incidence", str(logs[0]),
                      "--methods", ",".join(config["estimators"]),
-                     "--seed", str(derive_seed(master, f"ci:0:{t}", 0)),
+                     "--seed", str(derive_seed(master, "sensitivity:0") + 0),
                      "--out", str(est)]) == EXIT_OK
         rows = list(csv.DictReader((run / "estimates/prog000/trial000.csv").open()))
         assert (list(csv.DictReader(est.open()))
@@ -540,7 +559,7 @@ class TestRun:
         ver = tmp_path / "v.csv"
         assert main(["sensitivity", "--logs", str(run / "incidence/prog000"),
                      "--unit-sizes", ",".join(map(str, config["unit_sizes"])),
-                     "--methods", ",".join(config["estimators"]), "--level", "0",
+                     "--methods", ",".join(config["estimators"]),
                      "--seed", str(derive_seed(master, "sensitivity:0")),
                      "--out", str(ver)]) == EXIT_OK
         assert ver.read_bytes() == (run / "verdicts_prog000.csv").read_bytes()
@@ -734,13 +753,13 @@ SHARD_RUN = dict(TINY_RUN, n_programs=2, estimators=["chao2", "unpmle", "pnpmle"
                  bootstrap_b=20)
 
 
-def _fail_shard(monkeypatch, method, seeds, exc):
-    """Make the estimate batch of ``method`` raise ``exc`` when it has a job
-    with one of ``seeds``."""
+def _fail_shard(monkeypatch, method, seeds, ts, exc):
+    """Make the estimate batch of ``method`` raise ``exc`` when its jobs with
+    one of ``seeds`` are at the unit counts ``ts``, no more and no fewer."""
     real = cli.estimate_many
 
     def fail(jobs, *args, **kwargs):
-        if any(m == method and seed in seeds for _, m, seed in jobs):
+        if {matrix.t for matrix, m, seed in jobs if m == method and seed in seeds} == ts:
             raise exc
         return real(jobs, *args, **kwargs)
 
@@ -771,7 +790,7 @@ class TestMethodShards:
         rows = list(csv.DictReader((tmp_path / "run2/estimates/prog001/trial001.csv").open()))
         assert [r["method"] for r in rows[-4:]] == SHARD_RUN["estimators"]
         est = estimate(trial, "unpmle", 0.9, boot_b=20,
-                       seed=derive_seed(SHARD_RUN["master_seed"], f"ci:1:{trial.t}", 1))
+                       seed=derive_seed(SHARD_RUN["master_seed"], "sensitivity:1") + 1)
         assert ([float(rows[-3][f]) for f in ("point", "ci_low", "ci_high")]
                 == [est.point, est.ci_low, est.ci_high])
         trials = [build_incidence_matrix(parse_units(
@@ -816,12 +835,13 @@ class TestMethodShards:
     ])
     def test_failing_shard_keeps_earlier_programs(self, tmp_path, monkeypatch, stage, method,
                                                   exc, code):
-        master = SHARD_RUN["master_seed"]
-        if stage == "estimates":  # program 1's checkpoint seeds
-            seeds = {derive_seed(master, f"ci:1:{t}", k) for t in range(1, 41) for k in range(2)}
-        else:
-            seeds = {derive_seed(master, "sensitivity:1")}
-        _fail_shard(monkeypatch, method, seeds, exc)
+        # Program 1's trials draw from the same seeds in both stages, so the
+        # stage is told by its jobs' unit counts: the estimate stage's are its
+        # checkpoints, and the sensitivity stage's are unit size 20's 20
+        # units, as it takes size 10's from the estimate stage.
+        ts = {"estimates": {5, 10, 20, 40}, "sensitivity": {20}}[stage]
+        seed = derive_seed(SHARD_RUN["master_seed"], "sensitivity:1")
+        _fail_shard(monkeypatch, method, {seed, seed + 1}, ts, exc)
         files = []
         for cpus in (1, 2):
             rc, out = _pool_run(tmp_path, monkeypatch, cpus, SHARD_RUN)
@@ -880,3 +900,76 @@ class TestMethodShards:
         assert main(["sensitivity", "--logs", str(out / "incidence/prog000"),
                      "--unit-sizes", "10,20", "--methods", "chao2_bc",
                      "--out", str(tmp_path / "v.csv")]) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# Each estimate once: trial k of program b draws from seed S_b + k in both
+# estimator stages, and the sensitivity stage takes its base-size estimates
+# from the estimate stage's rows of the whole logs.
+# ---------------------------------------------------------------------------
+
+def _record_jobs(monkeypatch):
+    """The (matrix, method, seed) jobs sent to ``estimate_many`` in this
+    process, each matrix as its t, element ids and W bytes."""
+    jobs, real = [], cli.estimate_many
+
+    def recording(batch, *args, **kwargs):
+        jobs.extend((m.t, m.element_ids, m.w.tobytes(), method, seed)
+                    for m, method, seed in batch)
+        return real(batch, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_many", recording)
+    return jobs
+
+
+def _trials(out, b):
+    return [build_incidence_matrix(parse_units(p.read_text()))
+            for p in sorted((out / f"incidence/prog{b:03d}").glob("*.units.txt"))]
+
+
+class TestEachEstimateOnce:
+    def test_run_makes_each_estimate_once(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 1)
+        jobs = _record_jobs(monkeypatch)
+        out = tmp_path / "run"
+        assert run_experiment({}, out) == EXIT_OK
+        # 12 methods x 2 trials x (4 checkpoints + unit size 20); unit size
+        # 10's jobs are the estimate stage's at t = 1000.
+        assert len(jobs) == 12 * 2 * 5
+        assert len(set(jobs)) == len(jobs)
+        cfg = cli.ExperimentConfig()
+        seed = derive_seed(cfg.master_seed, "sensitivity:0")
+        assert {job[-1] for job in jobs} == {seed, seed + 1}  # S_0 + k
+        cli._write_verdicts(tmp_path / "v.csv", sensitivity_analysis(
+            _trials(out, 0), list(cfg.unit_sizes), ALL_METHODS, alpha=cfg.alpha,
+            level=cfg.ci_level, base_r=cfg.campaign.unit_size_r, seed=seed,
+            boot_b=cfg.bootstrap_b))
+        assert (tmp_path / "v.csv").read_bytes() == (out / "verdicts_prog000.csv").read_bytes()
+
+    def test_rerun_takes_the_estimates_it_wrote(self, tmp_path, monkeypatch):
+        _, out = _pool_run(tmp_path, monkeypatch, 1, SHARD_RUN)
+        before = _files(out)
+        jobs = _record_jobs(monkeypatch)
+        rc, _ = _pool_run(tmp_path, monkeypatch, 1, SHARD_RUN)
+        assert rc == EXIT_OK
+        after = _files(out)
+        assert {k: v for k, v in after.items() if k != "run_manifest.json"} == {
+            k: v for k, v in before.items() if k != "run_manifest.json"}
+        # Both markers hold: only unit size 20's 20-unit jobs are estimated.
+        assert {t for t, *_ in jobs} == {20}
+        assert len(jobs) == 2 * 2 * len(SHARD_RUN["estimators"])
+
+    def test_checkpoints_without_t_max_give_the_sensitivity_commands_verdicts(
+            self, tmp_path, monkeypatch):
+        config = dict(TINY_RUN, checkpoints=[5, 20], bootstrap_b=500,
+                      estimators=["chao2", "jk1", "bootstrap"])
+        rc, out = _pool_run(tmp_path, monkeypatch, 1, config)
+        assert rc == EXIT_OK
+        rows = list(csv.DictReader((out / "estimates/prog000/trial000.csv").open()))
+        assert {r["t"] for r in rows} == {"5", "20"}
+        ver = tmp_path / "v.csv"
+        assert main(["sensitivity", "--logs", str(out / "incidence/prog000"),
+                     "--unit-sizes", "10,20", "--methods", ",".join(config["estimators"]),
+                     "--seed", str(derive_seed(config["master_seed"], "sensitivity:0")),
+                     "--out", str(ver)]) == EXIT_OK
+        assert ver.read_bytes() == (out / "verdicts_prog000.csv").read_bytes()

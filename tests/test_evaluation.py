@@ -10,6 +10,7 @@ from reachbench.estimators import EstimateWithCI
 from reachbench.evaluation import (
     BernoulliProductModel,
     EvaluationError,
+    check_unit_sizes,
     ci_coverage,
     imprecision,
     mean_bias,
@@ -168,6 +169,14 @@ class TestSensitivity:
             sensitivity_analysis(trials, [2], ["jk1"])
         with pytest.raises(EvaluationError):
             sensitivity_analysis(trials, [2, 3], ["jk1"], base_r=2)
+
+    def test_a_repeated_size_is_an_error_but_in_the_analysis(self):
+        with pytest.raises(EvaluationError, match=r"^unit sizes repeat a size: \[2, 4, 2\]$"):
+            check_unit_sizes([2, 4, 2], 2)
+        check_unit_sizes([2, 4, 2], 2, repeats=True)
+        trials = [build_incidence_matrix([frozenset({0, 1})] * 4)] * 2
+        (v,) = sensitivity_analysis(trials, [1, 1], ["chao2"])  # a binning against itself
+        assert v.p_value == 1.0 and v.reliable
 
     def test_divergent_binnings_flagged_unreliable(self):
         # Means far apart with tight disjoint CIs must not pass.
