@@ -20,12 +20,14 @@ files in its directory; ``run`` also removes programs ``n_programs`` and up.
 A failed campaign is logged and the others go on; in ``run`` its program
 stops after the fuzz stage and is listed in the manifest's ``failed_trials``.
 
-The campaigns (one job per program and trial) and the estimate batches
-(one job per estimator method) run on a ``fork`` pool of ``min(usable
-CPUs, jobs)`` workers; see ``_pool_results``.  Results are taken in job
-order, so the artifacts are byte-identical whatever the worker count.
-Stage 1 (generate, compile, export) stays serial, and ``run`` writes each
-program's files before it starts the next.  A campaign's worker sends back
+``run``'s programs (one generate job each), the campaigns (one job per
+program and trial) and the estimate batches (one job per estimator method)
+run on a ``fork`` pool of ``min(usable CPUs, jobs)`` workers; see
+``_pool_results``.  Results are taken in job order, so the artifacts are
+byte-identical whatever the worker count.  A generate job writes its
+program's files and compiles the program's runner to bytecode, and sends
+back the grammar and the program, bytecode included; the fuzz workers
+inherit that bytecode and compile nothing.  A campaign's worker sends back
 its ``CampaignLog``.  Every units file is written from an ``IncidenceMatrix``.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure, 3 partial: some
@@ -299,11 +301,11 @@ def _pool_results(fn, jobs):
     With two or more workers the jobs run on a ``fork`` pool as soon as it
     starts; only the job's index crosses the pipe, and the worker finds
     ``fn`` and the job in what it inherited.  ``fork``, not ``spawn``: a
-    program's generated runner cannot be pickled, and a spawned worker would
-    import reachbench and numpy again; reachbench starts no thread before it
-    forks.  Otherwise each callable runs its job in this process when
-    called.  Leaving the block cancels what has not started and waits for
-    the pool's workers to exit.
+    spawned worker would import reachbench and numpy again, and would be
+    sent each job's programs and matrices, where a forked one inherits
+    them; reachbench starts no thread before it forks.  Otherwise each
+    callable runs its job in this process when called.  Leaving the block
+    cancels what has not started and waits for the pool's workers to exit.
     """
     workers = _pool_workers(len(jobs))
     if workers < 2:
@@ -390,6 +392,14 @@ def _generate(gen: GenConfig, out: Path):
     return grammar, program
 
 
+def _generate_job(job) -> tuple:
+    """``_generate(*job)`` of one of ``run``'s programs, with its runner's
+    bytecode compiled, which the fuzz workers then inherit."""
+    grammar, program = _generate(*job)
+    program.runner_code  # compiled here, in the generate stage's worker
+    return grammar, program
+
+
 def _fuzz(cfg: ExperimentConfig, programs):
     """Run ``cfg.trials_k`` campaigns on each of ``programs``, (b, grammar,
     program, out directory) tuples, on the worker pool.  Per program, remove
@@ -403,6 +413,8 @@ def _fuzz(cfg: ExperimentConfig, programs):
                             trial_seed=derive_seed(cfg.master_seed, f"campaign:{b}", k)))
         for b, grammar, program, _ in programs for k in range(cfg.trials_k)
     ]
+    for _, _, program, _ in programs:
+        program.runner_code  # compiled once, before the workers fork
     with _pool_results(_fuzz_campaign, jobs) as results:
         pending = zip(jobs, results)
         for _, _, _, out in programs:
@@ -482,9 +494,11 @@ def cmd_rebin(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    check_count("--bootstrap-b", args.bootstrap_b)  # before the log is read
     matrix = build_incidence_matrix(parse_units(_read(args.incidence)))
     methods = ALL_METHODS if args.methods == "all" else tuple(args.methods.split(","))
-    _write_estimates(args.out, _estimates([(matrix, m, args.seed) for m in methods], args.level))
+    _write_estimates(args.out, _estimates([(matrix, m, args.seed) for m in methods], args.level,
+                                          boot_b=args.bootstrap_b))
     return EXIT_OK
 
 
@@ -516,6 +530,7 @@ def cmd_sensitivity(args) -> int:
         except ValueError:
             raise ValueError(f"--unit-sizes: {s!r} is not an integer") from None
     check_unit_sizes(unit_sizes, unit_sizes[0])  # before any log is read
+    check_count("--bootstrap-b", args.bootstrap_b)
     trials = [build_incidence_matrix(parse_units(_read(p)))
               for p in sorted(Path(args.logs).glob("*.units.txt"))]
     if not trials:
@@ -524,7 +539,7 @@ def cmd_sensitivity(args) -> int:
     methods = ALL_METHODS if args.methods == "all" else tuple(args.methods.split(","))
     _write_verdicts(args.out, sensitivity_analysis(
         trials, unit_sizes, methods, alpha=args.alpha, level=args.level,
-        base_r=unit_sizes[0], seed=args.seed, batch=_estimates))
+        base_r=unit_sizes[0], seed=args.seed, boot_b=args.bootstrap_b, batch=_estimates))
     return EXIT_OK
 
 
@@ -665,8 +680,11 @@ def run_experiment(config: dict, out_dir) -> int:
     digest = hashlib.sha256(json.dumps(manifest["config"], sort_keys=True).encode()).hexdigest()
     stages, names = manifest["stages"], [f"prog{b:03d}" for b in range(cfg.n_programs)]
     with _timed(stages, "generate"):
-        programs = [_generate(replace(cfg.generation, seed=derive_seed(master, "grammar", b)),
-                              out / "grammars" / name) for b, name in enumerate(names)]
+        jobs = [(replace(cfg.generation, seed=derive_seed(master, "grammar", b)),
+                 out / "grammars" / name) for b, name in enumerate(names)]
+        manifest["generate_workers"] = _pool_workers(len(jobs))
+        with _pool_results(_generate_job, jobs) as results:
+            programs = [result() for result in results]
     with _timed(stages, "fuzz"):
         logs = _fuzz_stage(cfg, digest, programs, out / "incidence", manifest)
     done = [b for b, trials in enumerate(logs) if trials is not None]
@@ -761,6 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="all")
     p.add_argument("--level", type=float, default=0.90)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bootstrap-b", type=int, default=500, help="bootstrap resamples per CI")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
@@ -777,6 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--level", type=float, default=0.90)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bootstrap-b", type=int, default=500, help="bootstrap resamples per CI")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sensitivity)
 

@@ -115,6 +115,7 @@ def generate_seed_corpus(
         c = sum(1 if isinstance(s, int) else cost[s] for s in rule.rhs)
         return (c, sum(1 for s in rule.rhs if isinstance(s, str)))
 
+    cheapest = {nt: min(rules, key=rule_cost) for nt, rules in by_lhs.items()}
     seeds = []
     for i in range(n_seeds):
         out = bytearray()
@@ -124,10 +125,10 @@ def generate_seed_corpus(
             if isinstance(sym, int):
                 out.append(sym)
                 continue
-            rules = by_lhs[sym]
             if depth >= max_depth or len(out) + len(stack) >= max_len:
-                rule = min(rules, key=rule_cost)
+                rule = cheapest[sym]
             else:
+                rules = by_lhs[sym]
                 rule = rules[rng.randrange(len(rules))]
             stack.extend((s, depth + 1) for s in reversed(rule.rhs))
         seeds.append(bytes(out))

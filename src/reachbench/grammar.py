@@ -13,7 +13,8 @@ grammar value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 # End-of-input sentinel: outside the byte range on purpose.
 EOI = 256
@@ -54,6 +55,23 @@ class Grammar:
 
     def rules_of(self, nt: str):
         return [r for r in self.rules if r.lhs == nt]
+
+    @cached_property
+    def predict_table(self) -> PredictTable:
+        """``compute_first_follow(self)``, computed once per grammar, so that
+        the generator's LL(1) check and the parser compiler share it."""
+        return compute_first_follow(self)
+
+    @cached_property
+    def ll1_conflicts(self) -> tuple:
+        """``check_ll1`` of ``predict_table``, computed once per grammar;
+        empty when the grammar is LL(1)."""
+        return tuple(check_ll1(self, self.predict_table))
+
+    def __getstate__(self):
+        # A pickle holds the fields; the cached analyses, several times the
+        # grammar's size in memory, are computed again where they are needed.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def validate(self) -> None:
         declared = set(self.nonterminals)

@@ -22,9 +22,7 @@ from .grammar import (
     Grammar,
     GrammarError,
     Rule,
-    check_ll1,
     check_productivity,
-    compute_first_follow,
     reachable_nonterminals,
 )
 
@@ -268,12 +266,11 @@ def generate_grammar(config: GenConfig):
     for _ in range(config.max_attempts):
         grammar = _build(rng, config, core_names, extra_names, alphabet)
         try:
-            grammar.validate()
-            table = compute_first_follow(grammar)
+            conflicts = grammar.ll1_conflicts
         except GrammarError as exc:
             last_problem = str(exc)
             continue
-        if check_ll1(grammar, table):
+        if conflicts:
             last_problem = "PREDICT conflicts (epsilon rules overlap FOLLOW)"
             continue
         reach = reachable_nonterminals(grammar)

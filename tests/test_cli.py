@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import reachbench.cli as cli
+import reachbench.codegen as codegen
 import reachbench.evaluation as evaluation
 from reachbench.cli import (
     EXIT_CONFIG,
@@ -323,6 +324,17 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         self.assert_one_line_error(caplog, message)
 
+    @pytest.mark.parametrize("command", ["estimate", "sensitivity"])
+    def test_bootstrap_b_is_checked_before_any_log_is_read(self, tmp_path, caplog, command):
+        log = tmp_path / "logs" / "trial000.units.txt"
+        log.parent.mkdir()
+        log.write_text("not a units file\n")
+        source = (["--incidence", str(log)] if command == "estimate"
+                  else ["--logs", str(log.parent), "--unit-sizes", "1,2"])
+        rc = main([command, *source, "--bootstrap-b", "0", "--out", str(tmp_path / "o.csv")])
+        assert rc == EXIT_CONFIG
+        self.assert_one_line_error(caplog, "--bootstrap-b must be an integer >= 1, got 0")
+
     @pytest.mark.parametrize("key,value,message", [
         ("ci_level", 1.0, "CI level must lie in [0, 1), got 1.0"),
         ("ci_level", "0.9", "CI level must lie in [0, 1), got 0.9"),
@@ -529,9 +541,12 @@ class TestRun:
         seed, gives its campaigns; ``estimate`` with seed S_0 + k on trial k's
         log gives the run's estimates of the whole log; ``sensitivity`` with
         S_0 gives its verdicts, and ``evaluate`` its report rows.  The run
-        draws as many bootstrap resamples as the commands, and the bootstrap
-        estimator's interval depends on the seed."""
-        config = dict(TINY_RUN, bootstrap_b=500, estimators=["chao2", "jk1", "bootstrap"])
+        keeps the default ``bootstrap_b`` and level 0.9, the commands take
+        that ``bootstrap_b``, and the bootstrap estimator's interval depends
+        on the seed."""
+        config = dict(TINY_RUN, bootstrap_b=cli.DEFAULT_EXPERIMENT["bootstrap_b"],
+                      ci_level=0.9, estimators=["chao2", "jk1", "bootstrap"])
+        boot_b = ["--bootstrap-b", str(config["bootstrap_b"])]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         run = tmp_path / "run"
@@ -551,7 +566,7 @@ class TestRun:
         est = tmp_path / "e.csv"
         assert main(["estimate", "--incidence", str(logs[0]),
                      "--methods", ",".join(config["estimators"]),
-                     "--seed", str(derive_seed(master, "sensitivity:0") + 0),
+                     "--seed", str(derive_seed(master, "sensitivity:0") + 0), *boot_b,
                      "--out", str(est)]) == EXIT_OK
         rows = list(csv.DictReader((run / "estimates/prog000/trial000.csv").open()))
         assert (list(csv.DictReader(est.open()))
@@ -560,7 +575,7 @@ class TestRun:
         assert main(["sensitivity", "--logs", str(run / "incidence/prog000"),
                      "--unit-sizes", ",".join(map(str, config["unit_sizes"])),
                      "--methods", ",".join(config["estimators"]),
-                     "--seed", str(derive_seed(master, "sensitivity:0")),
+                     "--seed", str(derive_seed(master, "sensitivity:0")), *boot_b,
                      "--out", str(ver)]) == EXIT_OK
         assert ver.read_bytes() == (run / "verdicts_prog000.csv").read_bytes()
         report = tmp_path / "r.csv"
@@ -639,7 +654,8 @@ class TestCampaignPool:
             manifests.append(json.loads((out / "run_manifest.json").read_text()))
         assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
         assert len([a for a in manifests[0]["artifacts"] if a.endswith(".units.txt")]) == 6
-        assert [m["fuzz_workers"] for m in manifests] == [1, 2]
+        assert [(m["generate_workers"], m["fuzz_workers"]) for m in manifests] == [(1, 1),
+                                                                                   (2, 2)]
 
     def test_resumed_run_fuzzes_nothing(self, tmp_path, monkeypatch):
         _, out = _pool_run(tmp_path, monkeypatch, 2)
@@ -746,6 +762,72 @@ class TestCampaignPool:
             "trial000.summary.json", "trial000.units.txt",
             "trial001.summary.json", "trial001.units.txt",
         ]
+
+
+def _count_compiles(monkeypatch, log):
+    """Append the pid of each runner compile, in this process or a forked
+    worker, to the file ``log``."""
+    real = codegen._runner_code
+
+    def counting(program):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(program)
+
+    monkeypatch.setattr(codegen, "_runner_code", counting)
+
+
+class TestGeneratePool:
+    def test_run_compiles_each_runner_once_in_the_generate_workers(self, tmp_path, monkeypatch):
+        log = tmp_path / "compiles"
+        _count_compiles(monkeypatch, log)
+        rc, _ = _pool_run(tmp_path, monkeypatch, 2)
+        assert rc == EXIT_OK
+        pids = log.read_text().split()
+        assert len(pids) == POOL_RUN["n_programs"]
+        assert str(os.getpid()) not in pids
+
+    def test_fuzz_compiles_its_runner_once_before_the_workers_fork(self, tmp_path, monkeypatch,
+                                                                   program_dir):
+        _cpus(monkeypatch, 2)
+        log = tmp_path / "compiles"
+        _count_compiles(monkeypatch, log)
+        assert _fuzz(program_dir, tmp_path / "f") == EXIT_OK
+        assert log.read_text().split() == [str(os.getpid())]
+
+    @pytest.mark.parametrize("case", ["config", "runtime"])
+    def test_failed_generation_ends_the_run_the_same_way(self, tmp_path, monkeypatch, caplog,
+                                                         case):
+        """A program that cannot be generated ends the run before the fuzz
+        stage, with the same exit code and error on one worker or two."""
+        config = POOL_RUN
+        if case == "config":  # no grammar of one rule per nonterminal over one byte
+            config = dict(POOL_RUN, generation={
+                "n_nonterminals": 3, "alphabet_size": 1, "rules_per_nonterminal": [1, 1],
+                "max_attempts": 5})
+        else:
+            real = cli.generate_grammar
+            seed = derive_seed(POOL_RUN["master_seed"], "grammar", 1)
+
+            def generate_grammar(gen):
+                if gen.seed == seed:
+                    raise RuntimeError("boom")
+                return real(gen)
+
+            monkeypatch.setattr(cli, "generate_grammar", generate_grammar)
+        errors = []
+        for cpus in (1, 2):
+            caplog.clear()
+            rc, out = _pool_run(tmp_path, monkeypatch, cpus, config)
+            assert not (out / "incidence").exists()
+            errors.append([(r.getMessage(), r.exc_info is None)
+                           for r in caplog.records if r.levelno >= logging.ERROR])
+            assert rc == (EXIT_CONFIG if case == "config" else EXIT_RUNTIME)
+        assert errors[0] == errors[1]
+        if case == "config":
+            TestExitCodes.assert_one_line_error(
+                caplog, "generation failed after 5 attempts; binding constraint: "
+                "a generated nonterminal is not productive")
 
 
 # Method shards of the estimate and sensitivity stages.
@@ -886,12 +968,20 @@ class TestMethodShards:
         _, out = _pool_run(tmp_path, monkeypatch, 2, config)
         before = _files(out)
         shutil.rmtree(out / "estimates")
-        _no_pool(monkeypatch)  # the fuzz stage resumes; nothing else may start a pool
+        real = cli._fuzz_stage
+
+        def fuzz_stage(*args):
+            # The generate stage pools its two programs; the fuzz stage
+            # resumes, and nothing after the generate stage may start a pool.
+            _no_pool(monkeypatch)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_fuzz_stage", fuzz_stage)
         rc, _ = _pool_run(tmp_path, monkeypatch, 2, config)
         assert rc == EXIT_OK
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert (manifest["fuzz_workers"], manifest["estimate_workers"],
-                manifest["sensitivity_workers"]) == (0, 1, 1)
+        assert (manifest["generate_workers"], manifest["fuzz_workers"],
+                manifest["estimate_workers"], manifest["sensitivity_workers"]) == (2, 0, 1, 1)
         after = _files(out)
         assert all(after[k] == before[k] for k in before if k != "run_manifest.json")
         est = tmp_path / "e.csv"

@@ -1,5 +1,8 @@
 """Grammar analyses against hand-worked and brute-force oracles."""
 
+import pickle
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +106,13 @@ class TestLL1:
     def test_conflicts_reported_exhaustively(self):
         g = mk(["S"], [("S", [97]), ("S", [97]), ("S", [97])], "S")
         assert len(check_ll1(g, compute_first_follow(g))) == 3
+
+    def test_cached_analyses_match_and_are_not_pickled(self):
+        g = mk(["S"], [("S", [97, 98]), ("S", [97, 99])], "S")
+        assert g.predict_table == compute_first_follow(g)
+        assert g.ll1_conflicts == tuple(check_ll1(g, compute_first_follow(g)))
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and set(vars(copy)) == {f.name for f in fields(Grammar)}
 
     def test_ll1_parse_is_deterministic_by_simulation(self, expr_grammar):
         """At most one rule of each nonterminal is selectable per lookahead."""
