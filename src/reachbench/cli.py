@@ -503,10 +503,19 @@ def cmd_estimate(args) -> int:
 
 
 def _true_richness_from_manifest(path) -> int:
-    lines = [ln for ln in _read(path).splitlines() if ln.strip()]
-    if not lines or lines[0] != "elements v1":
-        raise ValueError("not an element manifest")
-    return sum(1 for ln in lines[1:] if ln.split()[-1] == "reachable")
+    """S: the elements that an ``element_manifest`` file flags reachable."""
+    lines = [(n, ln) for n, ln in enumerate(_read(path).splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != "elements v1":
+        raise ValueError(f"{path}: not an element manifest: no 'elements v1' header")
+    flags = []
+    for lineno, ln in lines[1:]:
+        parts = ln.split()
+        if not (len(parts) == 4 and parts[0].isascii() and parts[0].isdigit()
+                and parts[3] in ("reachable", "unreachable")):
+            raise ValueError(f"{path}: line {lineno}: not an element record "
+                             f"'<id> <kind> <origin> reachable|unreachable': {ln!r}")
+        flags.append(parts[3])
+    return flags.count("reachable")
 
 
 def cmd_evaluate(args) -> int:
@@ -791,7 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity", help="RQ2 sampling-unit sensitivity verdicts")
     p.add_argument("--logs", required=True, help="directory of *.units.txt logs")
-    p.add_argument("--unit-sizes", required=True, help="comma list, e.g. 1,2,4,8")
+    p.add_argument("--unit-sizes", required=True,
+                   help="comma list, e.g. 1,2,4,8; the first is the logs' own unit size")
     p.add_argument("--methods", default="all")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--level", type=float, default=0.90)

@@ -30,7 +30,6 @@ from .grammar import (
     TOKEN_DOMAIN_SIZE,
     Grammar,
     GrammarError,
-    reachable_nonterminals,
     serialize_grammar,
 )
 from .grammargen import GroundTruthLabel, label_for
@@ -119,39 +118,29 @@ def compile_to_parser(grammar: Grammar, label: GroundTruthLabel = None) -> Parse
     """Lower a validated LL(1) grammar to a ParserProgram with coverage elements."""
     if grammar.ll1_conflicts:
         raise CompileError(f"grammar is not LL(1): {list(grammar.ll1_conflicts)}")
+    reference = label_for(grammar)
     if label is None:
-        label = label_for(grammar)
+        label = reference
     label.validate_against(grammar)
+    if label != reference:
+        raise GroundTruthMismatch("label.reachable_rules disagrees with the reachability closure")
 
     predict = grammar.predict_table.predict
     elements = []
     procedures = []
     dispatch = {}
     error_element = {}
-    next_id = 0
-    dead_by_nt = {}
-    for nt in grammar.dead_marks:
-        dead_by_nt[nt] = dead_by_nt.get(nt, 0) + 1
-
-    for nt in grammar.nonterminals:
+    for nt in grammar.nonterminals:  # element ids are dense: each is len(elements)
         arms = []
         for rule in grammar.rules_of(nt):
             is_loop = bool(rule.rhs) and rule.rhs[-1] == nt and nt not in rule.rhs[:-1]
-            arms.append(
-                Arm(rule.rule_id, rule.rhs, predict[rule.rule_id], next_id, is_loop)
-            )
-            elements.append(CoverageElement(next_id, "rule-arm", rule.rule_id))
-            next_id += 1
-        err_id = next_id
-        elements.append(CoverageElement(next_id, "error-exit", nt))
-        next_id += 1
-        dead_ids = []
-        for _ in range(dead_by_nt.get(nt, 0)):
-            dead_ids.append(next_id)
-            elements.append(CoverageElement(next_id, "dead-guard", nt))
-            next_id += 1
-        procedures.append(Procedure(nt, tuple(arms), err_id, tuple(dead_ids)))
-        error_element[nt] = err_id
+            arms.append(Arm(rule.rule_id, rule.rhs, predict[rule.rule_id], len(elements), is_loop))
+            elements.append(CoverageElement(len(elements), "rule-arm", rule.rule_id))
+        error_element[nt] = len(elements)
+        elements.append(CoverageElement(len(elements), "error-exit", nt))
+        dead_ids = tuple(range(len(elements), len(elements) + grammar.dead_marks.count(nt)))
+        elements += [CoverageElement(i, "dead-guard", nt) for i in dead_ids]
+        procedures.append(Procedure(nt, tuple(arms), error_element[nt], dead_ids))
         # Executor dispatch: token -> (arm element, rhs items tagged with owner).
         dmap = {}
         for arm in arms:
@@ -161,7 +150,7 @@ def compile_to_parser(grammar: Grammar, label: GroundTruthLabel = None) -> Parse
         dispatch[nt] = dmap
 
     digest = hashlib.sha256(serialize_grammar(grammar).encode()).hexdigest()
-    truth = _ground_truth(procedures, grammar, label)
+    truth = _ground_truth(procedures, label)
     return ParserProgram(
         start=grammar.start,
         procedures=tuple(procedures),
@@ -173,28 +162,20 @@ def compile_to_parser(grammar: Grammar, label: GroundTruthLabel = None) -> Parse
     )
 
 
-def _ground_truth(procedures, grammar, label):
+def _ground_truth(procedures, label):
     """The exact set of reachable element ids (true maximum reachability S).
 
     A rule-arm element is reachable iff its rule is ground-truth reachable;
-    dead guards never are; an error exit is reachable iff its procedure is
-    start-reachable and the union of its arms' PREDICT sets leaves some
-    token (byte or end-of-input) unclaimed.
+    dead guards never are; an error exit is reachable iff one of its
+    procedure's arms is (its nonterminal is start-reachable) and the union
+    of its arms' PREDICT sets leaves some token (byte or end-of-input)
+    unclaimed.
     """
-    reach = reachable_nonterminals(grammar)
-    expect_reachable = {r.rule_id for r in grammar.rules if r.lhs in reach}
-    if expect_reachable != set(label.reachable_rules):
-        raise GroundTruthMismatch(
-            "label.reachable_rules disagrees with the reachability closure"
-        )
     truth = set()
     for proc in procedures:
-        predict_union = set()
-        for arm in proc.arms:
-            predict_union |= arm.predict
-            if arm.rule_id in label.reachable_rules:
-                truth.add(arm.element_id)
-        if proc.nonterminal in reach and len(predict_union) < TOKEN_DOMAIN_SIZE:
+        arms = [arm.element_id for arm in proc.arms if arm.rule_id in label.reachable_rules]
+        truth.update(arms)
+        if arms and len(set().union(*(arm.predict for arm in proc.arms))) < TOKEN_DOMAIN_SIZE:
             truth.add(proc.error_element_id)
     return frozenset(truth)
 

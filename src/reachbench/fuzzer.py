@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .codegen import ParserProgram, execute_parser
-from .grammar import Grammar
+from .grammar import Grammar, min_derivation_length
 from .incidence import ID_MAX, ID_MIN, IncidenceMatrix, from_masks
 
 log = logging.getLogger(__name__)
@@ -76,23 +76,6 @@ class CampaignLog:
     parser_runs: int  # execute_parser calls, the initial corpus entries' included
 
 
-def _min_cost(grammar: Grammar):
-    """Minimal terminal-string length derivable from each nonterminal."""
-    INF = float("inf")
-    cost = {nt: INF for nt in grammar.nonterminals}
-    changed = True
-    while changed:
-        changed = False
-        for rule in grammar.rules:
-            c = 0
-            for sym in rule.rhs:
-                c += 1 if isinstance(sym, int) else cost[sym]
-            if c < cost[rule.lhs]:
-                cost[rule.lhs] = c
-                changed = True
-    return cost
-
-
 def generate_seed_corpus(
     grammar: Grammar, n_seeds: int, max_depth: int, rng_seed: int,
     max_len: int = 256,
@@ -105,17 +88,15 @@ def generate_seed_corpus(
     roughly bounded length.  Deterministic per ``rng_seed``.
     """
     rng = random.Random(rng_seed)
-    cost = _min_cost(grammar)
-    by_lhs = {}
-    for rule in grammar.rules:
-        by_lhs.setdefault(rule.lhs, []).append(rule)
+    cost = min_derivation_length(grammar)
+    rules_of = grammar.rules_of
 
     def rule_cost(rule):
         # Tie-break on nonterminal count so epsilon-heavy grammars still terminate.
         c = sum(1 if isinstance(s, int) else cost[s] for s in rule.rhs)
         return (c, sum(1 for s in rule.rhs if isinstance(s, str)))
 
-    cheapest = {nt: min(rules, key=rule_cost) for nt, rules in by_lhs.items()}
+    cheapest = {nt: min(rules_of(nt), key=rule_cost) for nt in grammar.nonterminals}
     seeds = []
     for i in range(n_seeds):
         out = bytearray()
@@ -128,7 +109,7 @@ def generate_seed_corpus(
             if depth >= max_depth or len(out) + len(stack) >= max_len:
                 rule = cheapest[sym]
             else:
-                rules = by_lhs[sym]
+                rules = rules_of(sym)
                 rule = rules[rng.randrange(len(rules))]
             stack.extend((s, depth + 1) for s in reversed(rule.rhs))
         seeds.append(bytes(out))

@@ -6,15 +6,17 @@ symbols (the empty tuple encodes an epsilon rule).  End-of-input is the
 sentinel token 256, so the full token domain has 257 members.
 
 The analyses are the classical fixpoint constructions: FIRST, FOLLOW,
-nullability, PREDICT sets, LL(1) conflict detection, reachability and
-productivity closures.  All of them are pure functions of an immutable
-grammar value.
+nullability, PREDICT sets, LL(1) conflict detection, reachability, and
+shortest derivations, whose finite entries are the productive
+nonterminals.  All of them are pure functions of an immutable grammar
+value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import combinations
 
 # End-of-input sentinel: outside the byte range on purpose.
 EOI = 256
@@ -53,8 +55,16 @@ class Grammar:
     unreachable_marks: tuple = ()
     dead_marks: tuple = ()
 
-    def rules_of(self, nt: str):
-        return [r for r in self.rules if r.lhs == nt]
+    def rules_of(self, nt: str) -> tuple:
+        """The rules of ``nt``, in rule_id order."""
+        return self._rules_by_lhs.get(nt, ())
+
+    @cached_property
+    def _rules_by_lhs(self) -> dict:
+        by_lhs = {}
+        for rule in self.rules:
+            by_lhs.setdefault(rule.lhs, []).append(rule)
+        return {nt: tuple(rules) for nt, rules in by_lhs.items()}
 
     @cached_property
     def predict_table(self) -> PredictTable:
@@ -134,14 +144,21 @@ class PredictTable:
     def first_of_seq(self, rhs) -> tuple:
         """FIRST set of a symbol sequence and whether it derives epsilon."""
         out = set()
-        for sym in rhs:
-            if isinstance(sym, int):
-                out.add(sym)
-                return frozenset(out), False
-            out |= self.first[sym]
-            if sym not in self.nullable:
-                return frozenset(out), False
-        return frozenset(out), True
+        eps = _add_first(out, rhs, self.first, self.nullable)
+        return frozenset(out), eps
+
+
+def _add_first(out: set, rhs, first, nullable) -> bool:
+    """Add FIRST(rhs) to ``out``, given FIRST and the nullable set of each
+    nonterminal; return whether ``rhs`` derives epsilon."""
+    for sym in rhs:
+        if isinstance(sym, int):
+            out.add(sym)
+            return False
+        out |= first[sym]
+        if sym not in nullable:
+            return False
+    return True
 
 
 def compute_first_follow(grammar: Grammar) -> PredictTable:
@@ -154,91 +171,61 @@ def compute_first_follow(grammar: Grammar) -> PredictTable:
         changed = False
         for rule in grammar.rules:
             f = first[rule.lhs]
-            before = len(f)
-            all_nullable = True
-            for sym in rule.rhs:
-                if isinstance(sym, int):
-                    f.add(sym)
-                    all_nullable = False
-                    break
-                f |= first[sym]
-                if sym not in nullable:
-                    all_nullable = False
-                    break
-            if all_nullable and rule.lhs not in nullable:
+            size = len(f) + len(nullable)
+            if _add_first(f, rule.rhs, first, nullable):
                 nullable.add(rule.lhs)
-                changed = True
-            if len(f) != before:
-                changed = True
+            changed |= len(f) + len(nullable) != size
 
+    # FIRST is final now, so each occurrence of B in a rule of A adds
+    # FIRST(its tail) to FOLLOW(B) once; the fixpoint adds FOLLOW(A) to
+    # FOLLOW(B) wherever the tail is nullable.
     follow = {nt: set() for nt in grammar.nonterminals}
     follow[grammar.start].add(EOI)
+    ends = []  # (FOLLOW(B), FOLLOW(A))
+    for rule in grammar.rules:
+        for i, sym in enumerate(rule.rhs):
+            if isinstance(sym, str) and _add_first(follow[sym], rule.rhs[i + 1:], first, nullable):
+                ends.append((follow[sym], follow[rule.lhs]))
     changed = True
     while changed:
         changed = False
-        for rule in grammar.rules:
-            for i, sym in enumerate(rule.rhs):
-                if not isinstance(sym, str):
-                    continue
-                f = follow[sym]
-                before = len(f)
-                tail_nullable = True
-                for nxt in rule.rhs[i + 1:]:
-                    if isinstance(nxt, int):
-                        f.add(nxt)
-                        tail_nullable = False
-                        break
-                    f |= first[nxt]
-                    if nxt not in nullable:
-                        tail_nullable = False
-                        break
-                if tail_nullable:
-                    f |= follow[rule.lhs]
-                if len(f) != before:
-                    changed = True
+        for f, lhs_follow in ends:
+            size = len(f)
+            f |= lhs_follow
+            changed |= len(f) != size
 
-    nullable_fs = frozenset(nullable)
-    table = PredictTable(
-        first={nt: frozenset(s) for nt, s in first.items()},
-        follow={nt: frozenset(s) for nt, s in follow.items()},
-        nullable=nullable_fs,
-        predict={},
-    )
     predict = {}
     for rule in grammar.rules:
-        fst, eps = table.first_of_seq(rule.rhs)
-        toks = set(fst)
-        if eps:
-            toks |= table.follow[rule.lhs]
+        toks = set()
+        if _add_first(toks, rule.rhs, first, nullable):
+            toks |= follow[rule.lhs]
         predict[rule.rule_id] = frozenset(toks)
-    return PredictTable(table.first, table.follow, nullable_fs, predict)
+    return PredictTable(
+        first={nt: frozenset(s) for nt, s in first.items()},
+        follow={nt: frozenset(s) for nt, s in follow.items()},
+        nullable=frozenset(nullable),
+        predict=predict,
+    )
 
 
 def check_ll1(grammar: Grammar, table: PredictTable):
     """All pairwise PREDICT overlaps, reported exhaustively.  Empty list = LL(1)."""
     conflicts = []
     for nt in grammar.nonterminals:
-        rules = grammar.rules_of(nt)
-        for i in range(len(rules)):
-            for j in range(i + 1, len(rules)):
-                overlap = table.predict[rules[i].rule_id] & table.predict[rules[j].rule_id]
-                if overlap:
-                    conflicts.append(
-                        Conflict(nt, rules[i].rule_id, rules[j].rule_id, frozenset(overlap))
-                    )
+        for a, b in combinations(grammar.rules_of(nt), 2):
+            overlap = table.predict[a.rule_id] & table.predict[b.rule_id]
+            if overlap:
+                conflicts.append(Conflict(nt, a.rule_id, b.rule_id, frozenset(overlap)))
     return conflicts
 
 
 def reachable_nonterminals(grammar: Grammar) -> frozenset:
     """Least set containing the start symbol and closed under rule references."""
-    by_lhs = {}
-    for rule in grammar.rules:
-        by_lhs.setdefault(rule.lhs, []).append(rule)
     seen = {grammar.start}
     work = [grammar.start]
     while work:
         nt = work.pop()
-        for rule in by_lhs.get(nt, ()):
+        for rule in grammar.rules_of(nt):
             for sym in rule.rhs:
                 if isinstance(sym, str) and sym not in seen:
                     seen.add(sym)
@@ -246,19 +233,27 @@ def reachable_nonterminals(grammar: Grammar) -> frozenset:
     return frozenset(seen)
 
 
-def check_productivity(grammar: Grammar) -> frozenset:
-    """Least fixpoint of nonterminals that derive some finite terminal string."""
-    productive = set()
+def min_derivation_length(grammar: Grammar) -> dict:
+    """Length of the shortest terminal string each nonterminal derives,
+    ``inf`` for one that derives none: a fixpoint iterated down from ``inf``."""
+    cost = dict.fromkeys(grammar.nonterminals, float("inf"))
     changed = True
     while changed:
         changed = False
         for rule in grammar.rules:
-            if rule.lhs in productive:
-                continue
-            if all(isinstance(s, int) or s in productive for s in rule.rhs):
-                productive.add(rule.lhs)
+            c = 0
+            for sym in rule.rhs:
+                c += 1 if isinstance(sym, int) else cost[sym]
+            if c < cost[rule.lhs]:
+                cost[rule.lhs] = c
                 changed = True
-    return frozenset(productive)
+    return cost
+
+
+def check_productivity(grammar: Grammar) -> frozenset:
+    """The nonterminals that derive some finite terminal string."""
+    cost = min_derivation_length(grammar)
+    return frozenset(nt for nt, c in cost.items() if c != float("inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +288,8 @@ def serialize_grammar(grammar: Grammar) -> str:
 
 
 def parse_grammar(text: str) -> Grammar:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "grammar v1":
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].strip() != "grammar v1":
         raise GrammarError("missing 'grammar v1' header")
     start = None
     terminals = set()
@@ -302,7 +297,7 @@ def parse_grammar(text: str) -> Grammar:
     rules = []
     unreachable = []
     dead = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         kind = parts[0]
         try:

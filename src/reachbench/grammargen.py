@@ -273,12 +273,10 @@ def generate_grammar(config: GenConfig):
         if conflicts:
             last_problem = "PREDICT conflicts (epsilon rules overlap FOLLOW)"
             continue
-        reach = reachable_nonterminals(grammar)
-        if reach != set(core_names):
+        if reachable_nonterminals(grammar) != set(core_names):
             last_problem = "reachable closure does not match the intended core"
             continue
-        productive = check_productivity(grammar)
-        if not set(grammar.nonterminals) <= productive:
+        if not set(grammar.nonterminals) <= check_productivity(grammar):
             last_problem = "a generated nonterminal is not productive"
             continue
         return grammar, label_for(grammar)
@@ -298,19 +296,17 @@ def serialize_label(label: GroundTruthLabel) -> str:
 
 
 def parse_label(text: str) -> GroundTruthLabel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "label v1":
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != "label v1":
         raise GrammarError("missing 'label v1' header")
-    reach, unreach = set(), set()
-    for ln in lines[1:]:
+    verdicts = {"reachable": set(), "unreachable": set()}
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "rule":
-            raise GrammarError(f"malformed label record: {ln!r}")
-        rid = int(parts[1])
-        if parts[2] == "reachable":
-            reach.add(rid)
-        elif parts[2] == "unreachable":
-            unreach.add(rid)
-        else:
-            raise GrammarError(f"unknown label verdict: {parts[2]!r}")
-    return GroundTruthLabel(frozenset(reach), frozenset(unreach))
+            raise GrammarError(f"line {lineno}: malformed label record: {ln!r}")
+        if not (parts[1].isascii() and parts[1].isdigit()):
+            raise GrammarError(f"line {lineno}: label rule id {parts[1]!r} is not an integer")
+        if parts[2] not in verdicts:
+            raise GrammarError(f"line {lineno}: unknown label verdict {parts[2]!r}")
+        verdicts[parts[2]].add(int(parts[1]))
+    return GroundTruthLabel(frozenset(verdicts["reachable"]), frozenset(verdicts["unreachable"]))

@@ -36,6 +36,7 @@ from reachbench.incidence import build_incidence_matrix
 from conftest import DATA_DIR, units_of
 
 FIXTURE_LOG = DATA_DIR / "fixture_incidence.txt"
+NOT_A_RECORD = "not an element record '<id> <kind> <origin> reachable|unreachable'"
 
 TINY_RUN = {
     "master_seed": 5,
@@ -253,6 +254,47 @@ class TestExitCodes:
                    "--out", str(out)])
         assert rc == EXIT_CONFIG and not out.exists()
         self.assert_one_line_error(caplog, f"no *.csv estimates in {edir}")
+
+    @pytest.mark.parametrize("text, message", [
+        ("elements v1\n0 rule-arm 0 reachable\n1 error-exit N0 reachabel\n",
+         f"line 3: {NOT_A_RECORD}: '1 error-exit N0 reachabel'"),
+        ("elements v1\n0 rule-arm 0 reachable\n1 error-exit N0 unreachable\ngarbage\n",
+         f"line 4: {NOT_A_RECORD}: 'garbage'"),
+        ("elements v1\n\nx rule-arm 0 reachable\n",
+         f"line 3: {NOT_A_RECORD}: 'x rule-arm 0 reachable'"),
+        ("elements v1\n0 rule-arm 0 reachable extra\n",
+         f"line 2: {NOT_A_RECORD}: '0 rule-arm 0 reachable extra'"),
+        ("0 rule-arm 0 reachable\n", "not an element manifest: no 'elements v1' header"),
+    ], ids=["misspelled-flag", "garbage-line", "non-integer-id", "extra-word", "no-header"])
+    def test_evaluate_rejects_a_malformed_element_manifest(self, tmp_path, caplog, text, message):
+        """A manifest line that is not ``id kind origin flag`` would change S."""
+        truth, edir, out = tmp_path / "elements.txt", tmp_path / "work", tmp_path / "r.csv"
+        assert main(["estimate", "--incidence", str(FIXTURE_LOG), "--methods", "chao2",
+                     "--out", str(edir / "trial000.csv")]) == EXIT_OK
+        truth.write_text(text)
+        caplog.clear()
+        rc = main(["evaluate", "--truth", str(truth), "--estimates", str(edir), "--out", str(out)])
+        assert rc == EXIT_CONFIG and not out.exists()
+        self.assert_one_line_error(caplog, f"{truth}: {message}")
+
+    @pytest.mark.parametrize("label, message", [
+        ("label v1\nrule x reachable\n", "line 2: label rule id 'x' is not an integer"),
+        ("label v1\nrule 0 reachable\n\nrule 0 maybe\n", "line 4: unknown label verdict 'maybe'"),
+        ("label v1\nrule 0\n", "line 2: malformed label record: 'rule 0'"),
+        ("rule 0 reachable\n", "missing 'label v1' header"),
+    ], ids=["non-integer-id", "unknown-verdict", "short-record", "no-header"])
+    @pytest.mark.parametrize("command", ["gen-parser", "fuzz"])
+    def test_malformed_label_is_a_one_line_error(self, tmp_path, caplog, command, label, message):
+        pdir = tmp_path / "p"
+        pdir.mkdir()
+        (pdir / "grammar.txt").write_text(
+            "grammar v1\nstart S\nterminals 97\nnonterminal S\nrule 0 S := t97\n")
+        (pdir / "label.txt").write_text(label)
+        argv = (["gen-parser", "--grammar", str(pdir / "grammar.txt"),
+                 "--label", str(pdir / "label.txt")] if command == "gen-parser" else
+                ["fuzz", "--program", str(pdir), "--budget", "100", "--unit-size", "10"])
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        self.assert_one_line_error(caplog, message)
 
     @staticmethod
     def assert_one_line_error(caplog, message):

@@ -223,6 +223,16 @@ class TestGroundTruth:
         prog = compile_to_parser(g, label)
         assert exhaustive_coverage(prog, g, 8) == prog.ground_truth
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_exhaustive_oracle_with_unreachable_nonterminals(self, seed):
+        """An unreachable procedure's error exit is no more reachable than its arms."""
+        cfg = GenConfig(seed=seed, n_nonterminals=4, alphabet_size=4,
+                        rules_per_nonterminal=(1, 2), rule_length=(0, 1), n_unreachable=2)
+        g, label = generate_grammar(cfg)
+        prog = compile_to_parser(g, label)
+        assert exhaustive_coverage(prog, g, 8) == prog.ground_truth
+        assert not {prog.error_element[nt] for nt in g.unreachable_marks} & prog.ground_truth
+
     def test_dead_guards_excluded_and_listed(self):
         g, label = generate_grammar(
             GenConfig(seed=2, n_nonterminals=4, alphabet_size=6, n_dead_branches=3)

@@ -18,6 +18,7 @@ from reachbench.fuzzer import (
     run_campaign,
     serialize_units,
 )
+from reachbench.grammar import min_derivation_length
 from reachbench.grammargen import GenConfig, generate_grammar
 from reachbench.incidence import build_incidence_matrix
 
@@ -50,6 +51,14 @@ class TestSeedInputs:
         corpus = generate_seed_corpus(g, 30, 40, 1, max_len=64)
         # Bounded by max_len plus the minimal completion of the pending form.
         assert all(len(s) < 256 for s in corpus)
+
+    @pytest.mark.parametrize("allow_epsilon", [False, True])
+    def test_depth_zero_seeds_have_the_shortest_derivation_length(self, allow_epsilon):
+        """At depth 0 every expansion takes its nonterminal's cheapest rule."""
+        for seed in range(40):
+            g, _ = generate_grammar(GenConfig(seed=seed, allow_epsilon=allow_epsilon))
+            shortest = min_derivation_length(g)[g.start]
+            assert {len(s) for s in generate_seed_corpus(g, 3, 0, seed)} == {shortest}
 
 
 class TestMutation:

@@ -1,7 +1,9 @@
 """Grammar analyses against hand-worked and brute-force oracles."""
 
+import math
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from reachbench.grammar import (
     check_ll1,
     check_productivity,
     compute_first_follow,
+    min_derivation_length,
     parse_grammar,
     reachable_nonterminals,
     serialize_grammar,
@@ -223,7 +226,7 @@ class TestSerialization:
 
 
 @st.composite
-def small_grammars(draw):
+def small_grammars(draw, epsilon=True):
     n = draw(st.integers(1, 4))
     nts = [f"N{i}" for i in range(n)]
     terminals = draw(st.sets(st.integers(0, 7), min_size=1, max_size=4))
@@ -236,6 +239,7 @@ def small_grammars(draw):
                         st.sampled_from(sorted(terminals)),
                         st.sampled_from(nts),
                     ),
+                    min_size=0 if epsilon else 1,
                     max_size=3,
                 )
             )
@@ -257,3 +261,101 @@ def test_closure_bounds_property(g):
     assert g.start in reach
     assert reach <= set(g.nonterminals)
     assert check_productivity(g) <= set(g.nonterminals)
+
+
+def _closure(node, edges):
+    """The nodes reachable from ``node`` along ``edges``, ``node`` included."""
+    seen, work = {node}, [node]
+    while work:
+        for nxt in edges.get(work.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return seen
+
+
+def naive_tables(g):
+    """Nullable, FIRST, FOLLOW and PREDICT from their definitions.
+
+    Nullable is the least set of nonterminals closed under the rules, taken
+    as the intersection of every closed subset.  FIRST(A) holds the
+    terminals that A reaches in the begins-with graph (A begins with X when
+    a rule A -> alpha X beta has a nullable alpha).  FOLLOW(B) is the union
+    of the direct followers of every nonterminal that B can end (B ends A
+    when a rule A -> alpha B beta has a nullable beta), the start's direct
+    followers holding end-of-input.
+    """
+    nts = g.nonterminals
+
+    def closed(subset):
+        return all(r.lhs in subset for r in g.rules if set(r.rhs) <= subset)
+
+    subsets = (set(c) for k in range(len(nts) + 1) for c in combinations(nts, k))
+    nullable = set(nts).intersection(*filter(closed, subsets))
+
+    def leading(seq):
+        """The symbols of ``seq`` that can begin it."""
+        k = next((i for i, sym in enumerate(seq) if sym not in nullable), len(seq) - 1)
+        return set(seq[:k + 1])
+
+    begins = {nt: set() for nt in nts}
+    for r in g.rules:
+        begins[r.lhs] |= leading(r.rhs)
+    first = {nt: {s for s in _closure(nt, begins) if isinstance(s, int)} for nt in nts}
+
+    def first_seq(seq):
+        return set().union(*({s} if isinstance(s, int) else first[s] for s in leading(seq)))
+
+    direct = {nt: set() for nt in nts}
+    direct[g.start].add(EOI)
+    ends = {nt: set() for nt in nts}
+    for r in g.rules:
+        for i, sym in enumerate(r.rhs):
+            if isinstance(sym, str):
+                direct[sym] |= first_seq(r.rhs[i + 1:])
+                if set(r.rhs[i + 1:]) <= nullable:
+                    ends[sym].add(r.lhs)
+    follow = {nt: set().union(*(direct[a] for a in _closure(nt, ends))) for nt in nts}
+    predict = {r.rule_id: first_seq(r.rhs) | (follow[r.lhs] if set(r.rhs) <= nullable else set())
+               for r in g.rules}
+    return nullable, first, follow, predict, first_seq
+
+
+@given(small_grammars())
+@settings(max_examples=100, deadline=None)
+def test_first_follow_predict_match_their_definitions(g):
+    nullable, first, follow, predict, first_seq = naive_tables(g)
+    t = compute_first_follow(g)
+    assert t.nullable == nullable
+    assert t.first == first
+    assert t.follow == follow
+    assert t.predict == predict
+    for r in g.rules:
+        for i in range(len(r.rhs) + 1):
+            tail = r.rhs[i:]
+            assert t.first_of_seq(tail) == (first_seq(tail), set(tail) <= nullable)
+
+
+@given(small_grammars())
+@settings(max_examples=60, deadline=None)
+def test_rules_of_groups_the_rules_in_order(g):
+    for nt in g.nonterminals:
+        assert g.rules_of(nt) == tuple(r for r in g.rules if r.lhs == nt)
+    assert g.rules_of("not a nonterminal") == ()
+
+
+@given(small_grammars(epsilon=False))
+@settings(max_examples=60, deadline=None)
+def test_min_derivation_length_is_the_shortest_derived_length(g):
+    """Without epsilon rules a sentential form is never longer than its
+    cost, so ``derive_strings`` terminates.  From each nonterminal, no
+    string is shorter than its ``min_derivation_length`` and one has it."""
+    cost = min_derivation_length(g)
+    assert check_productivity(g) == {nt for nt, n in cost.items() if n < math.inf}
+    for nt in g.nonterminals:
+        from_nt = replace(g, start=nt)
+        if cost[nt] <= 5:
+            assert cost[nt] == 0 or not derive_strings(from_nt, cost[nt] - 1)
+            assert derive_strings(from_nt, cost[nt])
+        else:
+            assert not derive_strings(from_nt, 5)
